@@ -13,20 +13,70 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from ..sim.network import PAGE_SIZE
 from ..core.vma import align_down
 
 
-@dataclass
-class CachedPage:
-    """One resident page: payload plus permission/dirty metadata."""
+def _immutable(data: bytes) -> bytes:
+    """Payloads enter a cache as ``bytes``; a caller's mutable buffer is
+    copied so the cache never aliases it."""
+    return data if type(data) is bytes else bytes(data)
 
-    va: int
-    data: Optional[bytearray]
-    writable: bool = False
-    dirty: bool = False
+
+class CachedPage:
+    """One resident page: payload plus permission/dirty metadata.
+
+    ``payload`` is copy-on-write: immutable ``bytes`` (possibly shared with
+    other caches and the memory blades) until the first mutation swaps in
+    a private ``bytearray``.  A ``bytearray`` payload is never reachable
+    from anywhere but this page.  ``None`` means payloads are disabled.
+    """
+
+    __slots__ = ("va", "payload", "writable", "dirty")
+
+    def __init__(
+        self,
+        va: int,
+        payload: Optional[bytes],
+        writable: bool = False,
+        dirty: bool = False,
+    ):
+        self.va = va
+        self.payload: Union[bytes, bytearray, None] = payload
+        self.writable = writable
+        self.dirty = dirty
+
+    def __repr__(self) -> str:
+        return (
+            f"CachedPage(va={self.va:#x}, writable={self.writable}, "
+            f"dirty={self.dirty})"
+        )
+
+    @property
+    def data(self) -> Optional[bytearray]:
+        """The page's private mutable buffer (made on first access).
+
+        A later hand-out (:meth:`share`) may replace it with an immutable
+        snapshot, so re-read this property rather than holding the buffer.
+        """
+        payload = self.payload
+        if payload is None or isinstance(payload, bytearray):
+            return payload
+        buf = self.payload = bytearray(payload)
+        return buf
+
+    def share(self) -> Optional[bytes]:
+        """The payload as immutable ``bytes``, safe to hand out of the cache
+        (write-back, cache-to-cache serve).  A private buffer is frozen in
+        place, so the page and the receiver share one object until the next
+        mutation copies it again."""
+        payload = self.payload
+        if isinstance(payload, bytearray):
+            frozen = self.payload = bytes(payload)
+            return frozen
+        return payload
 
 
 @dataclass
@@ -145,7 +195,8 @@ class PageCache:
         existing = self._pages.get(page_va)
         if existing is not None:
             # Permission upgrade re-fill: refresh payload and writability.
-            existing.data = bytearray(data) if data is not None else existing.data
+            if data is not None:
+                existing.payload = _immutable(data)
             existing.writable = existing.writable or writable
             if writable:
                 self._writable[page_va] = existing
@@ -157,7 +208,7 @@ class PageCache:
             self._writable.pop(victim.va, None)
             evicted.append(victim)
         page = CachedPage(
-            page_va, bytearray(data) if data is not None else None, writable
+            page_va, _immutable(data) if data is not None else None, writable
         )
         self._pages[page_va] = page
         if writable:
@@ -199,18 +250,19 @@ class PageCache:
                 self._writable.pop(page.va, None)
                 outcome.downgraded += 1
                 continue
-            if page.dirty:
+            was_dirty = page.dirty
+            if was_dirty:
                 outcome.flushed.append(page)
             if downgrade_to_shared:
                 page.writable = False
                 page.dirty = False
                 self._writable.pop(page.va, None)
-                if page not in outcome.flushed:
+                if not was_dirty:
                     outcome.downgraded += 1
             else:
                 self._pages.pop(page.va, None)
                 self._writable.pop(page.va, None)
-                if not page.dirty:
+                if not was_dirty:
                     outcome.dropped += 1
         return outcome
 

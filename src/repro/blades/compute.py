@@ -141,10 +141,9 @@ class ComputeBlade:
                 yield tlb_us
                 spans.mark("tlb")
             for page in outcome.flushed:
-                data = bytes(page.data) if page.data is not None else None
                 # Asynchronous write-back: the ACK does not wait for the
                 # flush; the switch makes fetches of these pages wait.
-                self.datapath.flush_page_async(self.port, page.va, data)
+                self.datapath.flush_page_async(self.port, page.va, page.share())
             affected = outcome.pages_affected
             false_invals = max(0, affected - (1 if target_resident else 0))
             return InvalidationAck(
@@ -169,7 +168,8 @@ class ComputeBlade:
         self.stats.incr("pages_served_from_cache")
         # b"" = resident but payloads disabled (trace-replay mode); the
         # switch still performs the cache-to-cache transfer timing.
-        return bytes(page.data) if page.data is not None else b""
+        data = page.share()
+        return data if data is not None else b""
 
     # -- fault path (blade -> switch) -------------------------------------------
 
@@ -246,8 +246,9 @@ class ComputeBlade:
                 self.stats.incr("evictions")
                 if victim.dirty:
                     self.stats.incr("eviction_flushes")
-                    data = bytes(victim.data) if victim.data is not None else None
-                    self.datapath.flush_page_async(self.port, victim.va, data)
+                    self.datapath.flush_page_async(
+                        self.port, victim.va, victim.share()
+                    )
             tracer = self.engine.tracer
             if tracer.enabled:
                 tracer.complete(
@@ -292,8 +293,9 @@ class ComputeBlade:
             page = yield from self.ensure_page(pdid, cursor, write=False)
             offset = cursor - page.va
             take = min(remaining, PAGE_SIZE - offset)
-            if page.data is not None:
-                out += page.data[offset : offset + take]
+            payload = page.payload
+            if payload is not None:
+                out += payload[offset : offset + take]
             else:
                 out += bytes(take)
             cursor += take
@@ -308,8 +310,9 @@ class ComputeBlade:
             page = yield from self.ensure_page(pdid, cursor, write=True)
             offset = cursor - page.va
             take = min(len(view), PAGE_SIZE - offset)
-            if page.data is not None:
-                page.data[offset : offset + take] = view[:take]
+            buf = page.data  # copy-on-write: the first store makes it
+            if buf is not None:
+                buf[offset : offset + take] = view[:take]
             page.dirty = True
             cursor += take
             view = view[take:]

@@ -102,6 +102,8 @@ class MemoryBlade:
             padded = bytearray(PAGE_SIZE)
             padded[: len(data)] = data
             data = bytes(padded)
+        # ``bytes(b)`` of an exact ``bytes`` is ``b`` itself: a flushed
+        # cache payload is stored shared, never copied.
         self._pages[page_pa] = bytes(data)
 
     @property

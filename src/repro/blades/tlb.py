@@ -17,20 +17,27 @@ page cache, an invariant the test suite checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..sim.network import PAGE_SIZE
 from ..core.vma import align_down
 
 
-@dataclass
 class PageTableEntry:
     """A local PTE: one domain's mapping of a cached page."""
 
-    pdid: int
-    va: int
-    writable: bool
+    __slots__ = ("pdid", "va", "writable")
+
+    def __init__(self, pdid: int, va: int, writable: bool):
+        self.pdid = pdid
+        self.va = va
+        self.writable = writable
+
+    def __repr__(self) -> str:
+        return (
+            f"PageTableEntry(pdid={self.pdid}, va={self.va:#x}, "
+            f"writable={self.writable})"
+        )
 
 
 class PteTable:

@@ -206,10 +206,10 @@ class MindCluster:
         mprotect on a live range is in real kernels."""
         for blade in self.compute_blades:
             for page in blade.cache.pages_in(base, length):
-                if page.dirty and page.data is not None:
+                if page.dirty and page.payload is not None:
                     xlate = self.mmu.address_space.translate(page.va)
                     self.memory_blades[xlate.blade_id].write_page(
-                        xlate.pa, bytes(page.data)
+                        xlate.pa, page.share()
                     )
                 blade.cache.drop(page.va)
                 blade.ptes.unmap_page(page.va)

@@ -29,7 +29,7 @@ import sys
 from typing import List
 
 from ..sweep.presets import PRESETS, preset_grids
-from ..sweep.spec import GridSpec, SweepSpec, parse_grid
+from ..sweep.spec import SCENARIO_KINDS, GridSpec, SweepSpec, parse_grid
 from .harness import compare_wall_seconds, run_profile
 
 
@@ -41,6 +41,20 @@ def _parse_seeds(text: str) -> List[int]:
     if not seeds:
         raise SystemExit(f"bad --seeds {text!r}: no seeds")
     return seeds
+
+
+def _scenario_workloads(grid: GridSpec) -> List[str]:
+    """The grid's workloads that are scenarios, not trace replays."""
+    return [w for w in grid.axes.get("workload", ()) if w in SCENARIO_KINDS]
+
+
+def _profilable_presets() -> List[str]:
+    """Presets whose every point is a trace replay (what the profiler runs)."""
+    return sorted(
+        name
+        for name in PRESETS
+        if not any(_scenario_workloads(grid) for grid in preset_grids(name))
+    )
 
 
 def add_profile_parser(sub: argparse._SubParsersAction) -> None:
@@ -135,6 +149,15 @@ def main(args: argparse.Namespace) -> int:
     grids.extend(parse_grid(text) for text in args.grid)
     if not grids:
         raise SystemExit("nothing to profile: pass --grid and/or --preset")
+    for grid in grids:
+        for workload in _scenario_workloads(grid):
+            print(
+                f"error: profile runs trace-replay points only; workload "
+                f"{workload!r} is a scenario of kind {SCENARIO_KINDS[workload]!r} "
+                f"(presets profile can run: {', '.join(_profilable_presets())})",
+                file=sys.stderr,
+            )
+            return 2
     spec = SweepSpec(grids, _parse_seeds(args.seeds))
     report = run_profile(
         spec,

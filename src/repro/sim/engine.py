@@ -207,6 +207,10 @@ class Process(Event):
             try:
                 target = send(value)
             except StopIteration as stop:
+                # Release the finished generator (its frame storage lives
+                # in the generator object); joiners read the return value,
+                # which stays on this event.
+                self._gen = None
                 tracer = engine.tracer
                 if tracer.enabled:
                     tracer.complete(

@@ -45,7 +45,7 @@ from ..runner import run_system
 from ..sim.stats import RunResult
 from ..workloads import stable_seed
 from .spec import (
-    ALLOC_WORKLOADS,
+    SCENARIO_KINDS,
     SCHEMA,
     SERVICE_WORKLOADS,
     TOPOLOGY_WORKLOADS,
@@ -222,13 +222,7 @@ def execute_point(
     with_trace: bool = False,
 ) -> PointRecord:
     """Run one sweep point to completion in this process."""
-    scenario_kind = None
-    if point.workload in SERVICE_WORKLOADS:
-        scenario_kind = "service"
-    elif point.workload in TOPOLOGY_WORKLOADS:
-        scenario_kind = "topology"
-    elif point.workload in ALLOC_WORKLOADS:
-        scenario_kind = "allocation"
+    scenario_kind = SCENARIO_KINDS.get(point.workload)
     if scenario_kind is not None:
         if fault_plan is not None:
             raise ValueError(

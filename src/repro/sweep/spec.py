@@ -96,6 +96,13 @@ TOPOLOGY_WORKLOADS = ("multirack",)
 #: ``allocator`` and ``size_dist``).
 ALLOC_WORKLOADS = ("churn",)
 
+#: scenario kind of every non-trace workload.
+SCENARIO_KINDS: Dict[str, str] = {
+    **{w: "service" for w in SERVICE_WORKLOADS},
+    **{w: "topology" for w in TOPOLOGY_WORKLOADS},
+    **{w: "allocation" for w in ALLOC_WORKLOADS},
+}
+
 
 def _digest(payload: Any) -> str:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -319,21 +326,16 @@ class GridSpec:
                     f"unknown system {system!r}; choose from {SYSTEMS}"
                 )
         for workload in self.axes.get("workload", []):
-            scenario_kinds = {
-                **{w: "service" for w in SERVICE_WORKLOADS},
-                **{w: "topology" for w in TOPOLOGY_WORKLOADS},
-                **{w: "allocation" for w in ALLOC_WORKLOADS},
-            }
             if (
                 workload not in WORKLOAD_BUILDERS
-                and workload not in scenario_kinds
+                and workload not in SCENARIO_KINDS
             ):
                 raise ValueError(
                     f"unknown workload {workload!r}; choose from "
-                    f"{sorted([*WORKLOAD_BUILDERS, *scenario_kinds])}"
+                    f"{sorted([*WORKLOAD_BUILDERS, *SCENARIO_KINDS])}"
                 )
-            if workload in scenario_kinds:
-                kind = scenario_kinds[workload]
+            if workload in SCENARIO_KINDS:
+                kind = SCENARIO_KINDS[workload]
                 for system in self.axes.get("system", ["mind"]):
                     if system != "mind":
                         raise ValueError(
