@@ -20,7 +20,6 @@ fault latency.
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Callable, Dict, Generator, Optional
 
 from ..obs.spans import SpanCursor
@@ -57,22 +56,6 @@ COMPUTE_BLADE_GROUP = 1
 #: A compute blade's invalidation handler: a generator-producing callable
 #: that performs the local invalidation work and returns an InvalidationAck.
 InvalidationHandler = Callable[[InvalidationRequest], Generator]
-
-
-def __getattr__(name: str):
-    # MessageLossInjector moved to repro.faults (it was born here, pre-dating
-    # the faults subsystem, and was first exported as FaultInjector).
-    if name in ("MessageLossInjector", "FaultInjector"):
-        from ..faults.message_loss import MessageLossInjector as _moved
-
-        warnings.warn(
-            f"repro.core.coherence.{name} is deprecated; "
-            "import MessageLossInjector from repro.faults instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _moved
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class CoherenceProtocol:

@@ -6,8 +6,7 @@ seeded generator so failure tests are reproducible.  Scheduled,
 link-level fault windows live in :mod:`repro.faults.injector`.
 
 Historically this class lived in :mod:`repro.core.coherence` (first
-exported as ``FaultInjector``); importing it from there still works but
-raises a :class:`DeprecationWarning`.
+exported as ``FaultInjector``); import it from :mod:`repro.faults`.
 """
 
 from __future__ import annotations

@@ -246,12 +246,9 @@ class MultiRackFabric:
     def rack_telemetry_raw(self, rack: int) -> Dict[str, Any]:
         """Raw end-of-run tallies for one rack, aggregation-ready.
 
-        Every value is either an exact integer tally or a per-rack float
-        that the serial capture path summed in rack order -- so
-        :func:`aggregate_rack_telemetry` over these dicts (in rack order)
-        reproduces :meth:`capture_telemetry`'s arithmetic bit for bit,
-        whether the dicts came from this fabric or were collected across
-        parallel per-component worker processes.
+        Every value is either an exact integer tally or a per-rack float;
+        :meth:`capture_telemetry` folds these dicts, in rack order,
+        through :func:`aggregate_rack_telemetry`.
         """
         node = self.topology.racks[rack]
         m = node.mmu
@@ -318,12 +315,10 @@ def aggregate_rack_telemetry(
 ) -> None:
     """Fold per-rack raw tallies (in rack order) into fabric telemetry.
 
-    The single aggregation routine shared by the serial capture path and
-    the parallel-rack merge: summation order is fixed by the rack order of
-    ``raws``, so both paths produce bit-identical counters and gauges.
-    ``runtime_us`` is the horizon utilizations are evaluated against --
-    the owning engine's clock in the serial case, the global makespan
-    (max over component workers) in the parallel case.
+    Called by :meth:`MultiRackFabric.capture_telemetry`.  Summation order
+    is fixed by the rack order of ``raws``, so counters and gauges are
+    deterministic.  ``runtime_us`` is the horizon utilizations are
+    evaluated against: the fabric engine's end-of-run clock.
     """
     stats.counters["directory_peak"] = sum(r["directory_peak"] for r in raws)
     stats.counters["directory_final"] = sum(r["directory_final"] for r in raws)

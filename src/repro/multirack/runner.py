@@ -113,10 +113,10 @@ def _thread_draws(
 ):
     """The seeded random draws behind one blade thread's stream.
 
-    Returns ``(racks, pages, writes)`` arrays.  Kept separate from VA
-    construction so the parallel-rack planner can inspect which racks a
-    thread touches without needing the mapped pool bases -- both callers
-    consume the RNG in exactly this order, so the streams agree.
+    Returns ``(racks, pages, writes)`` arrays; :func:`_thread_stream`
+    turns them into virtual addresses over the mapped pool bases.  The RNG
+    is consumed in exactly this order, so streams are pure functions of
+    the seed.
     """
     rng = np.random.default_rng(
         stable_seed("multirack", config.seed, blade_id, thread_id)

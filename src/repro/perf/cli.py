@@ -9,6 +9,9 @@ Examples::
     # where does the time go?  cProfile top-25 by internal time
     python -m repro profile --preset ci-quick --seeds 1,2 --cprofile 25
 
+    # scenario presets (multirack, kvs-service, malloc-bench) time the same way
+    python -m repro profile --preset multirack-quick --reps 1
+
     # advisory regression check against the checked-in baseline
     python -m repro profile --preset ci-quick --seeds 1,2 \\
         --compare-to benchmarks/BENCH_speed.json
@@ -26,35 +29,10 @@ import argparse
 import json
 import os
 import sys
-from typing import List
 
-from ..sweep.presets import PRESETS, preset_grids
-from ..sweep.spec import SCENARIO_KINDS, GridSpec, SweepSpec, parse_grid
+from ..sweep.cli import load_spec
+from ..sweep.presets import PRESETS
 from .harness import compare_wall_seconds, run_profile
-
-
-def _parse_seeds(text: str) -> List[int]:
-    try:
-        seeds = [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise SystemExit(f"bad --seeds {text!r}: expected comma-separated ints")
-    if not seeds:
-        raise SystemExit(f"bad --seeds {text!r}: no seeds")
-    return seeds
-
-
-def _scenario_workloads(grid: GridSpec) -> List[str]:
-    """The grid's workloads that are scenarios, not trace replays."""
-    return [w for w in grid.axes.get("workload", ()) if w in SCENARIO_KINDS]
-
-
-def _profilable_presets() -> List[str]:
-    """Presets whose every point is a trace replay (what the profiler runs)."""
-    return sorted(
-        name
-        for name in PRESETS
-        if not any(_scenario_workloads(grid) for grid in preset_grids(name))
-    )
 
 
 def add_profile_parser(sub: argparse._SubParsersAction) -> None:
@@ -143,22 +121,11 @@ def add_profile_parser(sub: argparse._SubParsersAction) -> None:
 
 
 def main(args: argparse.Namespace) -> int:
-    grids: List[GridSpec] = []
-    for name in args.preset:
-        grids.extend(preset_grids(name))
-    grids.extend(parse_grid(text) for text in args.grid)
-    if not grids:
-        raise SystemExit("nothing to profile: pass --grid and/or --preset")
-    for grid in grids:
-        for workload in _scenario_workloads(grid):
-            print(
-                f"error: profile runs trace-replay points only; workload "
-                f"{workload!r} is a scenario of kind {SCENARIO_KINDS[workload]!r} "
-                f"(presets profile can run: {', '.join(_profilable_presets())})",
-                file=sys.stderr,
-            )
-            return 2
-    spec = SweepSpec(grids, _parse_seeds(args.seeds))
+    try:
+        spec = load_spec(args, "profile")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = run_profile(
         spec,
         reps=args.reps,

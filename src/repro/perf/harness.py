@@ -1,7 +1,8 @@
 """Point-by-point wall-clock profiling of sweep specs.
 
-The harness re-runs each sweep point in this process (same code path as
-``repro.sweep.engine.execute_point``) wrapped in ``perf_counter`` timing,
+The harness re-runs each sweep point in this process through
+:func:`repro.sweep.engine.run_point` -- trace replays and scenario kinds
+alike -- wrapped in ``perf_counter`` timing,
 and pulls :meth:`repro.sim.engine.Engine.kernel_stats` off every
 :class:`~repro.sim.stats.RunResult`.  Repetitions time the *whole spec*
 and the best (minimum-wall) repetition is reported, which filters most
@@ -23,10 +24,8 @@ from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..faults import FaultPlan
-from ..runner import run_system
-from ..sim.stats import RunResult
-from ..sweep.engine import extract_metrics, reseed_plan_for_point
-from ..sweep.spec import SweepPoint, SweepSpec, build_workload_cached
+from ..sweep.engine import extract_metrics, run_point
+from ..sweep.spec import SCENARIOS, SweepSpec, build_workload_cached
 
 #: schema tag for profile documents (BENCH_speed.json is one of these).
 SCHEMA = "repro.profile/v1"
@@ -163,18 +162,6 @@ class ProfileReport:
         return doc
 
 
-def _run_point(
-    point: SweepPoint, fault_plan: Optional[FaultPlan]
-) -> RunResult:
-    """Execute one point exactly as the sweep engine would."""
-    workload = build_workload_cached(point)
-    extra: Dict[str, Any] = {}
-    if fault_plan is not None:
-        extra["fault_plan"] = reseed_plan_for_point(fault_plan, point)
-    config = point.runner_config(**extra)
-    return run_system(point.system, workload, point.num_blades, config)
-
-
 def run_profile(
     spec: SweepSpec,
     reps: int = 3,
@@ -193,9 +180,11 @@ def run_profile(
         raise ValueError("reps must be >= 1")
     points = spec.points()
     # Warm the per-process workload cache outside the timed region so the
-    # first repetition is not charged for trace synthesis.
+    # first repetition is not charged for trace synthesis.  Scenario
+    # points generate their streams inside the run and have nothing to warm.
     for point in points:
-        build_workload_cached(point)
+        if point.workload not in SCENARIOS:
+            build_workload_cached(point)
 
     wall_per_rep: List[float] = []
     best_points: List[PointProfile] = []
@@ -206,7 +195,7 @@ def run_profile(
         rep_wall = 0.0
         for point in points:
             t0 = perf_counter()
-            result = _run_point(point, fault_plan)
+            result = run_point(point, fault_plan)
             wall = perf_counter() - t0
             rep_wall += wall
             rep_metrics.append(extract_metrics(result))
@@ -239,7 +228,7 @@ def run_profile(
         profiler = cProfile.Profile()
         profiler.enable()
         for point in points:
-            _run_point(point, fault_plan)
+            run_point(point, fault_plan)
         profiler.disable()
         buf = io.StringIO()
         stats = pstats.Stats(profiler, stream=buf)
@@ -257,7 +246,7 @@ def run_profile(
         )
         profiler = cProfile.Profile()
         profiler.enable()
-        _run_point(worst_point, fault_plan)
+        run_point(worst_point, fault_plan)
         profiler.disable()
         buf = io.StringIO()
         stats = pstats.Stats(profiler, stream=buf)

@@ -902,9 +902,8 @@ class Resource:
         """Capacity-time integral of use so far (advances accounting first).
 
         Dividing by ``horizon * capacity`` reproduces :meth:`utilization`
-        against an arbitrary horizon -- the parallel multirack merge needs
-        this to evaluate utilization against the *global* makespan rather
-        than one worker engine's local clock.
+        against an arbitrary horizon; the multirack fabric's telemetry
+        capture divides by its engine's end-of-run clock.
         """
         self._account()
         return self.busy_time

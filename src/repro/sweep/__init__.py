@@ -8,7 +8,8 @@ turns that into infrastructure:
 - :mod:`repro.sweep.spec` -- the grid language: axes -> cartesian product
   of :class:`SweepPoint`\\ s, each a picklable handle that a worker process
   can rebuild into a workload + runner config.
-- :mod:`repro.sweep.engine` -- fan-out across worker processes
+- :mod:`repro.sweep.engine` -- :func:`run_point`, the one dispatch for
+  trace replays and scenario kinds; fan-out across worker processes
   (spawn-safe ``ProcessPoolExecutor``), deterministic result ordering,
   resumable partial runs, and aggregation into a schema-versioned JSON
   document (``BENCH_sweep.json``) with mean/p50/p99 per metric across
@@ -29,6 +30,7 @@ from .engine import (
     SweepResults,
     execute_point,
     extract_metrics,
+    run_point,
     run_sweep,
 )
 from .presets import PRESETS, preset_grids
@@ -59,5 +61,6 @@ __all__ = [
     "extract_metrics",
     "parse_grid",
     "preset_grids",
+    "run_point",
     "run_sweep",
 ]

@@ -12,7 +12,9 @@ Examples::
         --out BENCH_sweep.json \\
         --compare-to benchmarks/BENCH_baseline.json --tolerance 0.15
 
-Exit status: 0 on success, 1 when ``--compare-to`` detects a regression.
+Exit status: 0 on success, 1 when ``--compare-to`` detects a regression,
+2 when the grid, a preset or a scenario axis is invalid (checked before
+any point runs).
 """
 
 from __future__ import annotations
@@ -24,7 +26,13 @@ from typing import List
 from .compare import compare
 from .engine import SweepResults, run_sweep
 from .presets import PRESETS, preset_grids
-from .spec import GridSpec, SweepPoint, SweepSpec, parse_grid
+from .spec import (
+    GridSpec,
+    SweepPoint,
+    SweepSpec,
+    check_scenario_configs,
+    parse_grid,
+)
 
 
 def _parse_seeds(text: str) -> List[int]:
@@ -35,6 +43,23 @@ def _parse_seeds(text: str) -> List[int]:
     if not seeds:
         raise SystemExit(f"bad --seeds {text!r}: no seeds")
     return seeds
+
+
+def load_spec(args: argparse.Namespace, verb: str) -> SweepSpec:
+    """The spec named by ``--preset``, ``--grid`` and ``--seeds``.
+
+    Raises :class:`ValueError` for a bad grid, preset or scenario axis:
+    every scenario point's config is built here, before any point runs.
+    """
+    grids: List[GridSpec] = []
+    for name in args.preset:
+        grids.extend(preset_grids(name))
+    grids.extend(parse_grid(text) for text in args.grid)
+    if not grids:
+        raise SystemExit(f"nothing to {verb}: pass --grid and/or --preset")
+    spec = SweepSpec(grids, _parse_seeds(args.seeds))
+    check_scenario_configs(spec.points())
+    return spec
 
 
 def add_sweep_parser(sub: argparse._SubParsersAction) -> None:
@@ -90,17 +115,6 @@ def add_sweep_parser(sub: argparse._SubParsersAction) -> None:
         help="relative tolerance for the regression gate (default 0.15)",
     )
     parser.add_argument(
-        "--rack-parallel",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "simulate independent rack components of a multirack point in "
-            "up to N concurrent worker processes (byte-identical to the "
-            "serial run; effective for in-process points, i.e. --jobs 1)"
-        ),
-    )
-    parser.add_argument(
         "--no-resume",
         action="store_true",
         help="ignore a matching partial document in --out; rerun all points",
@@ -125,17 +139,11 @@ def main(args: argparse.Namespace) -> int:
             for text in PRESETS[name]:
                 print(f"  {text}")
         return 0
-    grids: List[GridSpec] = []
-    for name in args.preset:
-        grids.extend(preset_grids(name))
-    grids.extend(parse_grid(text) for text in args.grid)
-    if not grids:
-        raise SystemExit("nothing to run: pass --grid and/or --preset")
-    if args.rack_parallel is not None:
-        from ..multirack.parallel import set_rack_parallelism
-
-        set_rack_parallelism(args.rack_parallel)
-    spec = SweepSpec(grids, _parse_seeds(args.seeds))
+    try:
+        spec = load_spec(args, "run")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     points = spec.points()
     if not args.quiet:
         print(

@@ -45,10 +45,8 @@ from ..runner import run_system
 from ..sim.stats import RunResult
 from ..workloads import stable_seed
 from .spec import (
-    SCENARIO_KINDS,
+    SCENARIOS,
     SCHEMA,
-    SERVICE_WORKLOADS,
-    TOPOLOGY_WORKLOADS,
     SweepPoint,
     SweepSpec,
     build_workload_cached,
@@ -137,83 +135,39 @@ class PointRecord:
         )
 
 
-def _execute_service_point(point: SweepPoint) -> PointRecord:
-    """Run a ``repro.service`` scenario point (e.g. ``kvs_service``).
+def run_point(
+    point: SweepPoint,
+    fault_plan: Optional[FaultPlan] = None,
+    trace: bool = False,
+) -> RunResult:
+    """Run one sweep point to completion in this process.
 
-    Grid axes map onto :class:`~repro.service.ServiceConfig` fields;
-    structural axes translate as blades -> rack size, threads_per_blade ->
-    initial serving slots, seed -> scenario seed.  The scenario builds its
-    own chaos plan from ``stable_seed`` children of that seed, so service
-    sweeps are byte-identical at any ``--jobs`` with no plan re-seeding.
+    Scenario workloads run through their :data:`~repro.sweep.spec.SCENARIOS`
+    entry; every other workload is a trace replay on ``point.system``,
+    with ``fault_plan`` re-seeded for the point.
     """
-    from ..service import config_from_params, run_service
-
-    params = dict(point.workload_params)
-    params.update(dict(point.runner_params))
-    # An explicit initial_slots axis wins over the structural default.
-    params.setdefault("initial_slots", point.threads_per_blade)
-    config = config_from_params(
-        params,
-        num_compute_blades=point.num_blades,
-        seed=point.seed,
+    scenario = SCENARIOS.get(point.workload)
+    if scenario is not None:
+        if fault_plan is not None:
+            raise ValueError(
+                f"{scenario.kind} points build their own chaos plan / fault "
+                "schedule; an external --fault plan cannot be combined with "
+                "them"
+            )
+        if trace:
+            raise ValueError(
+                f"{scenario.kind} points do not record event traces"
+            )
+        return scenario.run(point)
+    extra: Dict[str, Any] = {}
+    if fault_plan is not None:
+        extra["fault_plan"] = reseed_plan_for_point(fault_plan, point)
+    if trace:
+        extra["trace"] = True
+    workload = build_workload_cached(point)
+    return run_system(
+        point.system, workload, point.num_blades, point.runner_config(**extra)
     )
-    sr = run_service(config)
-    record = PointRecord(point=point, metrics=extract_metrics(sr.result))
-    if sr.result.stats.timeline is not None:
-        record.timeline = sr.result.stats.timeline.to_json()
-    return record
-
-
-def _execute_topology_point(point: SweepPoint) -> PointRecord:
-    """Run a ``repro.multirack`` topology point (the ``multirack`` workload).
-
-    Grid axes map onto :class:`~repro.multirack.MultiRackScenarioConfig`
-    fields; structural axes translate as blades -> compute blades *per
-    rack*, threads_per_blade -> threads per blade, seed -> scenario seed.
-    Every access stream derives from ``stable_seed`` children of that
-    seed, so topology sweeps are byte-identical at any ``--jobs``.
-    """
-    from ..multirack import config_from_params
-    from ..multirack.parallel import run_multirack_auto
-
-    params = dict(point.workload_params)
-    params.update(dict(point.runner_params))
-    config = config_from_params(
-        params,
-        compute_blades_per_rack=point.num_blades,
-        threads_per_blade=point.threads_per_blade,
-        seed=point.seed,
-    )
-    # Serial unless --rack-parallel armed the process-wide toggle; the
-    # parallel path is byte-identical, so documents never depend on it.
-    result = run_multirack_auto(config)
-    record = PointRecord(point=point, metrics=extract_metrics(result))
-    if result.stats.timeline is not None:
-        record.timeline = result.stats.timeline.to_json()
-    return record
-
-
-def _execute_alloc_point(point: SweepPoint) -> PointRecord:
-    """Run a ``repro.alloc.scenario`` churn point (the allocator ablation).
-
-    Grid axes map onto :class:`~repro.alloc.scenario.ChurnScenarioConfig`
-    fields (``allocator``, ``size_dist``, ``ops_per_thread`` ...);
-    structural axes translate as blades -> compute blades, seed ->
-    scenario seed.  Op streams derive from ``stable_seed`` children of
-    that seed, so allocator sweeps are byte-identical at any ``--jobs``.
-    """
-    from ..alloc.scenario import config_from_params, run_churn
-
-    params = dict(point.workload_params)
-    params.update(dict(point.runner_params))
-    config = config_from_params(
-        params,
-        compute_blades=point.num_blades,
-        threads_per_blade=point.threads_per_blade,
-        seed=point.seed,
-    )
-    result = run_churn(config)
-    return PointRecord(point=point, metrics=extract_metrics(result))
 
 
 def execute_point(
@@ -221,32 +175,8 @@ def execute_point(
     fault_plan: Optional[FaultPlan] = None,
     with_trace: bool = False,
 ) -> PointRecord:
-    """Run one sweep point to completion in this process."""
-    scenario_kind = SCENARIO_KINDS.get(point.workload)
-    if scenario_kind is not None:
-        if fault_plan is not None:
-            raise ValueError(
-                f"{scenario_kind} points build their own chaos plan / fault "
-                "schedule; an external --fault plan cannot be combined with "
-                "them"
-            )
-        if with_trace:
-            raise ValueError(
-                f"{scenario_kind} points do not record event traces"
-            )
-        if point.workload in SERVICE_WORKLOADS:
-            return _execute_service_point(point)
-        if point.workload in TOPOLOGY_WORKLOADS:
-            return _execute_topology_point(point)
-        return _execute_alloc_point(point)
-    workload = build_workload_cached(point)
-    extra: Dict[str, Any] = {}
-    if fault_plan is not None:
-        extra["fault_plan"] = reseed_plan_for_point(fault_plan, point)
-    if with_trace:
-        extra["trace"] = True
-    config = point.runner_config(**extra)
-    result = run_system(point.system, workload, point.num_blades, config)
+    """Run one sweep point; return its metrics (and timeline, trace)."""
+    result = run_point(point, fault_plan, trace=with_trace)
     record = PointRecord(point=point, metrics=extract_metrics(result))
     if with_trace and result.trace is not None:
         record.trace_jsonl = result.trace.to_jsonl()

@@ -5,7 +5,8 @@ product enumerates experiment points.  Four axes are structural and
 consumed by the runner:
 
 - ``system``             -- one of :data:`repro.runner.SYSTEMS`
-- ``workload``           -- a key of :data:`WORKLOAD_BUILDERS`
+- ``workload``           -- a key of :data:`WORKLOAD_BUILDERS` (trace
+  replay) or of :data:`SCENARIOS`
 - ``blades``             -- compute-blade count
 - ``threads_per_blade``  -- workload threads per blade
 - ``seed``               -- workload seed (usually supplied via
@@ -32,6 +33,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..runner import SYSTEMS, RunnerConfig
+from ..sim.stats import RunResult
 from ..workloads import (
     GraphLikeWorkload,
     MemcachedYcsbWorkload,
@@ -78,29 +80,112 @@ WORKLOAD_BUILDERS: Dict[str, Callable[..., TraceWorkload]] = {
     ),
 }
 
-#: scenario workloads executed through ``repro.service`` instead of the
-#: trace-replay runner.  They only run on the MIND system, build their
-#: own chaos plan from the point seed, and expose ``ServiceConfig``
-#: fields (plus the runner sizing knobs they share) as grid axes.
-SERVICE_WORKLOADS = ("kvs_service",)
 
-#: topology scenarios executed through ``repro.multirack`` instead of the
-#: trace-replay runner.  Like service workloads they are MIND-only; their
-#: grid axes map onto ``MultiRackScenarioConfig`` fields, with the
-#: structural ``blades`` axis meaning compute blades *per rack*.
-TOPOLOGY_WORKLOADS = ("multirack",)
+# -- scenario workloads ------------------------------------------------------
 
-#: allocation scenarios executed through ``repro.alloc.scenario`` -- the
-#: malloc/free churn benchmark behind the allocator ablation.  MIND-only;
-#: grid axes map onto ``ChurnScenarioConfig`` fields (most importantly
-#: ``allocator`` and ``size_dist``).
-ALLOC_WORKLOADS = ("churn",)
 
-#: scenario kind of every non-trace workload.
-SCENARIO_KINDS: Dict[str, str] = {
-    **{w: "service" for w in SERVICE_WORKLOADS},
-    **{w: "topology" for w in TOPOLOGY_WORKLOADS},
-    **{w: "allocation" for w in ALLOC_WORKLOADS},
+def _scenario_params(point: SweepPoint) -> Dict[str, Any]:
+    """A scenario point's non-structural axes as one mapping.
+
+    Scenario configs carry the runner sizing knobs themselves, so the
+    workload/runner split the grid makes for trace replays is undone.
+    """
+    params = dict(point.workload_params)
+    params.update(dict(point.runner_params))
+    return params
+
+
+def _service_config(point: SweepPoint) -> Any:
+    """``kvs_service``: axes map onto :class:`~repro.service.ServiceConfig`.
+
+    blades -> rack size, threads_per_blade -> initial serving slots (an
+    explicit ``initial_slots`` axis wins), seed -> scenario seed.
+    """
+    from ..service import config_from_params
+
+    params = _scenario_params(point)
+    params.setdefault("initial_slots", point.threads_per_blade)
+    return config_from_params(
+        params, num_compute_blades=point.num_blades, seed=point.seed
+    )
+
+
+def _run_service(config: Any) -> RunResult:
+    from ..service import run_service
+
+    return run_service(config).result
+
+
+def _topology_config(point: SweepPoint) -> Any:
+    """``multirack``: axes map onto ``MultiRackScenarioConfig``.
+
+    blades -> compute blades *per rack*, threads_per_blade -> threads per
+    blade, seed -> scenario seed.
+    """
+    from ..multirack import config_from_params
+
+    return config_from_params(
+        _scenario_params(point),
+        compute_blades_per_rack=point.num_blades,
+        threads_per_blade=point.threads_per_blade,
+        seed=point.seed,
+    )
+
+
+def _run_topology(config: Any) -> RunResult:
+    from ..multirack import run_multirack
+
+    return run_multirack(config)
+
+
+def _churn_config(point: SweepPoint) -> Any:
+    """``churn``: axes map onto ``ChurnScenarioConfig``.
+
+    ``allocator``, ``size_dist``, ``ops_per_thread`` ... are config
+    fields; blades -> compute blades, seed -> scenario seed.
+    """
+    from ..alloc.scenario import config_from_params
+
+    return config_from_params(
+        _scenario_params(point),
+        compute_blades=point.num_blades,
+        threads_per_blade=point.threads_per_blade,
+        seed=point.seed,
+    )
+
+
+def _run_churn(config: Any) -> RunResult:
+    from ..alloc.scenario import run_churn
+
+    return run_churn(config)
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """A workload run by its own subsystem instead of the trace replayer.
+
+    Scenarios only run on the MIND system and build their own fault
+    schedule from ``stable_seed`` children of the point seed, so scenario
+    sweeps are byte-identical at any ``--jobs`` with no plan re-seeding.
+    Both callables import their subsystem lazily: importing the sweep
+    engine loads no scenario module.
+    """
+
+    kind: str
+    #: point -> scenario config; raises ValueError on an unknown axis.
+    config: Callable[[SweepPoint], Any]
+    #: scenario config -> the finished run.
+    execute: Callable[[Any], RunResult]
+
+    def run(self, point: SweepPoint) -> RunResult:
+        return self.execute(self.config(point))
+
+
+#: every non-trace workload: name -> kind and how to run its points.
+SCENARIOS: Dict[str, Scenario] = {
+    "kvs_service": Scenario("service", _service_config, _run_service),
+    "multirack": Scenario("topology", _topology_config, _run_topology),
+    "churn": Scenario("allocation", _churn_config, _run_churn),
 }
 
 
@@ -163,21 +248,11 @@ class SweepPoint:
     # -- materialization --------------------------------------------------
 
     def build_workload(self) -> TraceWorkload:
-        if self.workload in SERVICE_WORKLOADS:
+        scenario = SCENARIOS.get(self.workload)
+        if scenario is not None:
             raise ValueError(
-                f"{self.workload!r} is a service scenario, not a trace "
-                "workload; the sweep engine runs it through repro.service"
-            )
-        if self.workload in TOPOLOGY_WORKLOADS:
-            raise ValueError(
-                f"{self.workload!r} is a topology scenario, not a trace "
-                "workload; the sweep engine runs it through repro.multirack"
-            )
-        if self.workload in ALLOC_WORKLOADS:
-            raise ValueError(
-                f"{self.workload!r} is an allocation scenario, not a trace "
-                "workload; the sweep engine runs it through "
-                "repro.alloc.scenario"
+                f"{self.workload!r} is a {scenario.kind} scenario, not a trace "
+                "workload; the sweep engine runs it through its own subsystem"
             )
         try:
             builder = WORKLOAD_BUILDERS[self.workload]
@@ -253,6 +328,19 @@ def clear_workload_cache() -> None:
     _WORKLOAD_CACHE.clear()
 
 
+def check_scenario_configs(points: Iterable[SweepPoint]) -> None:
+    """Build every scenario point's config; raise ValueError on a bad axis.
+
+    Scenario configs reject unknown axes only when built, so calling this
+    before the first point runs turns a typo into an up-front error
+    rather than a failure partway through a sweep.
+    """
+    for point in points:
+        scenario = SCENARIOS.get(point.workload)
+        if scenario is not None:
+            scenario.config(point)
+
+
 # -- grids -------------------------------------------------------------------
 
 
@@ -326,16 +414,13 @@ class GridSpec:
                     f"unknown system {system!r}; choose from {SYSTEMS}"
                 )
         for workload in self.axes.get("workload", []):
-            if (
-                workload not in WORKLOAD_BUILDERS
-                and workload not in SCENARIO_KINDS
-            ):
+            if workload not in WORKLOAD_BUILDERS and workload not in SCENARIOS:
                 raise ValueError(
                     f"unknown workload {workload!r}; choose from "
-                    f"{sorted([*WORKLOAD_BUILDERS, *SCENARIO_KINDS])}"
+                    f"{sorted([*WORKLOAD_BUILDERS, *SCENARIOS])}"
                 )
-            if workload in SCENARIO_KINDS:
-                kind = SCENARIO_KINDS[workload]
+            if workload in SCENARIOS:
+                kind = SCENARIOS[workload].kind
                 for system in self.axes.get("system", ["mind"]):
                     if system != "mind":
                         raise ValueError(
