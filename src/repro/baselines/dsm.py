@@ -29,7 +29,7 @@ from ..blades.cache import PageCache
 from ..blades.memory import MemoryBlade
 from ..core.vma import align_down
 from ..sim.engine import Engine, Resource
-from ..sim.network import CONTROL_MSG_BYTES, Network, NetworkConfig, PAGE_SIZE, Port
+from ..sim.network import CONTROL_MSG_BYTES, Network, NetworkConfig, PAGE_SIZE, Port, wire
 from ..sim.stats import StatsCollector
 
 #: software metadata handling at a home node (page-table walk + directory
@@ -121,9 +121,9 @@ class TransparentDsm:
         ]
 
     def _rtt(self, src: Port, dst: Port, size: int) -> Generator:
-        yield from self.engine.subtask(src.to_switch.transfer(size))
+        yield from wire(src.to_switch, size)
         yield self.config.switch_pipeline_us  # plain L2 forwarding
-        yield from self.engine.subtask(dst.from_switch.transfer(size))
+        yield from wire(dst.from_switch, size)
 
     # -- the access path ------------------------------------------------------
 

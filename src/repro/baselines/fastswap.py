@@ -20,7 +20,7 @@ from ..blades.cache import PageCache
 from ..blades.memory import MemoryBlade
 from ..core.vma import align_down
 from ..sim.engine import Engine, Event
-from ..sim.network import CONTROL_MSG_BYTES, Network, NetworkConfig, PAGE_SIZE, Port
+from ..sim.network import CONTROL_MSG_BYTES, Network, NetworkConfig, PAGE_SIZE, Port, wire
 from ..sim.stats import RunResult, StatsCollector
 from ..workloads.trace import AccessOrStream, AccessStream, TraceWorkload
 
@@ -80,13 +80,13 @@ class FastSwapSystem:
             yield self.config.fault_overhead_us
             yield self.config.rdma_verb_overhead_us
             mem = self._memory_blade_for(page_va)
-            yield from self.engine.subtask(self.port.to_switch.transfer(CONTROL_MSG_BYTES))
+            yield from wire(self.port.to_switch, CONTROL_MSG_BYTES)
             yield self.config.switch_pipeline_us
-            yield from self.engine.subtask(mem.port.from_switch.transfer(CONTROL_MSG_BYTES))
+            yield from wire(mem.port.from_switch, CONTROL_MSG_BYTES)
             yield self.config.memory_service_us + self.config.dram_access_us
-            yield from self.engine.subtask(mem.port.to_switch.transfer(PAGE_SIZE))
+            yield from wire(mem.port.to_switch, PAGE_SIZE)
             yield self.config.switch_pipeline_us
-            yield from self.engine.subtask(self.port.from_switch.transfer(PAGE_SIZE))
+            yield from wire(self.port.from_switch, PAGE_SIZE)
             yield self.config.rdma_verb_overhead_us
             for victim in self.cache.insert(page_va, None, writable=True):
                 if victim.dirty:
@@ -101,9 +101,9 @@ class FastSwapSystem:
     def _swap_out(self, page_va: int) -> Generator:
         """Asynchronous dirty-page write-back to its memory blade."""
         mem = self._memory_blade_for(page_va)
-        yield from self.engine.subtask(self.port.to_switch.transfer(PAGE_SIZE))
+        yield from wire(self.port.to_switch, PAGE_SIZE)
         yield self.config.switch_pipeline_us
-        yield from self.engine.subtask(mem.port.from_switch.transfer(PAGE_SIZE))
+        yield from wire(mem.port.from_switch, PAGE_SIZE)
         yield self.config.memory_service_us
         self.stats.incr("pages_written_back")
 

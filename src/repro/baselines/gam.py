@@ -33,7 +33,7 @@ from ..blades.consistency import StoreBuffer
 from ..blades.memory import MemoryBlade
 from ..core.vma import align_down
 from ..sim.engine import Engine, Event, Resource
-from ..sim.network import CONTROL_MSG_BYTES, Network, NetworkConfig, PAGE_SIZE, Port
+from ..sim.network import CONTROL_MSG_BYTES, Network, NetworkConfig, PAGE_SIZE, Port, wire
 from ..sim.stats import RunResult, StatsCollector
 from ..workloads.trace import AccessOrStream, AccessStream, TraceWorkload
 
@@ -127,9 +127,9 @@ class GamSystem:
 
     def _rtt(self, src: Port, dst: Port, size_bytes: int) -> Generator:
         """src -> switch -> dst one-way carrying ``size_bytes``."""
-        yield from self.engine.subtask(src.to_switch.transfer(size_bytes))
+        yield from wire(src.to_switch, size_bytes)
         yield self.config_pipeline_us()
-        yield from self.engine.subtask(dst.from_switch.transfer(size_bytes))
+        yield from wire(dst.from_switch, size_bytes)
 
     def config_pipeline_us(self) -> float:
         # Plain L2 forwarding through the same switch hardware.

@@ -264,26 +264,12 @@ class CoherenceProtocol:
 
         # Requester -> switch (retransmitted if the uplink drops it).
         yield self.config.rdma_verb_overhead_us
-        link = requester.to_switch
-        if (leg := link.try_leg(CONTROL_MSG_BYTES)) >= 0.0:
-            yield leg
-        elif (ser := link.try_start(CONTROL_MSG_BYTES)) >= 0.0:
-            yield ser
-            yield link.finish(CONTROL_MSG_BYTES)
-        elif not (yield from self.engine.subtask(link.transfer(CONTROL_MSG_BYTES))):
-            yield from self.fetch._redeliver(link, CONTROL_MSG_BYTES)
+        yield from self.fetch.send(requester.to_switch, CONTROL_MSG_BYTES)
         spans.mark_wire("request", requester.to_switch)
 
         # Pipeline pass 1: protection check, directory lookup, STT match.
         engine = self.engine
-        if (
-            not engine._ready
-            and not engine.tracer.enabled
-            and engine._due_head > engine.now
-        ):
-            yield pkt.traverse_us()
-        else:
-            yield from engine.subtask(pkt.traverse())
+        yield from engine.subtask(pkt.traverse())
         verdict = pkt.execute(
             self.protection_mau,
             lambda: self.protection.check(req.pdid, req.va, req.access),
@@ -291,9 +277,7 @@ class CoherenceProtocol:
         spans.mark("pipeline")
         if verdict is not PacketVerdict.ALLOW:
             self.stats.incr("protection_rejections")
-            link = requester.from_switch
-            if not (yield from self.engine.subtask(link.transfer(CONTROL_MSG_BYTES))):
-                yield from self.fetch._redeliver(link, CONTROL_MSG_BYTES)
+            yield from self.fetch.send(requester.from_switch, CONTROL_MSG_BYTES)
             spans.mark_wire("reply", requester.from_switch)
             return FaultResult(
                 verdict, latency_us=self.engine.now - t0, stale=self.epoch != epoch
@@ -310,14 +294,7 @@ class CoherenceProtocol:
             self.stats.incr(f"transition:{transition.label}")
 
             # Recirculate so the directory MAU can apply the update.
-            if (
-                not engine._ready
-                and not engine.tracer.enabled
-                and engine._due_head > engine.now
-            ):
-                yield pkt.recirculate_us()
-            else:
-                yield from engine.subtask(pkt.recirculate())
+            yield from engine.subtask(pkt.recirculate())
             old_owner = region.owner
             old_sharers = frozenset(region.sharers)
             pkt.execute(

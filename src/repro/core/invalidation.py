@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator, List
 
-from ..sim.network import CONTROL_MSG_BYTES, PAGE_SIZE
+from ..sim.network import CONTROL_MSG_BYTES, PAGE_SIZE, wire
 from ..switchsim.packets import InvalidationAck, InvalidationRequest
 from .directory import CoherenceState, Region
 from .vma import align_down
@@ -132,30 +132,14 @@ class InvalidationEngine:
         retry is idempotent) but the switch cannot know, and must resend.
         """
         ctx = self.ctx
-        engine = ctx.engine
         port = ctx._blade_ports[port_id]
         ctx.stats.incr("invalidations_sent")
-        link = port.from_switch
-        if (leg := link.try_leg(CONTROL_MSG_BYTES)) >= 0.0:
-            yield leg
-        elif (ser := link.try_start(CONTROL_MSG_BYTES)) >= 0.0:
-            yield ser
-            yield link.finish(CONTROL_MSG_BYTES)
-        elif not (yield engine.process(link.transfer(CONTROL_MSG_BYTES))):
+        if not (yield from wire(port.from_switch, CONTROL_MSG_BYTES)):
             return None
         ack: InvalidationAck = yield ctx.engine.process(
             ctx._inval_handlers[port_id](inval)
         )
-        link = port.to_switch
-        if (leg := link.try_leg(CONTROL_MSG_BYTES)) >= 0.0:
-            yield leg
-            acked = True
-        elif (ser := link.try_start(CONTROL_MSG_BYTES)) >= 0.0:
-            yield ser
-            yield link.finish(CONTROL_MSG_BYTES)
-            acked = True
-        else:
-            acked = yield engine.process(link.transfer(CONTROL_MSG_BYTES))
+        acked = yield from wire(port.to_switch, CONTROL_MSG_BYTES)
         # Fold the blade's report into directory + stats accounting.  The
         # "invalidation" breakdown (queue/tlb of Fig. 7 right) is recorded
         # by the blade's own span instrumentation, not here.
@@ -188,13 +172,9 @@ class InvalidationEngine:
             # Reset messages must land (a lost reset would leave a wedged
             # region wedged), so each leg is delivered reliably.
             def deliver(h=handler, p=port):
-                yield from ctx.fetch.deliver(
-                    lambda: p.from_switch.transfer(CONTROL_MSG_BYTES)
-                )
+                yield from ctx.fetch.send(p.from_switch, CONTROL_MSG_BYTES)
                 yield ctx.engine.process(h(reset_inval))
-                yield from ctx.fetch.deliver(
-                    lambda: p.to_switch.transfer(CONTROL_MSG_BYTES)
-                )
+                yield from ctx.fetch.send(p.to_switch, CONTROL_MSG_BYTES)
 
             procs.append(ctx.engine.process(deliver()))
         yield ctx.engine.all_of(procs)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional
 
 from ..sim.engine import Engine
-from ..sim.network import CONTROL_MSG_BYTES, PAGE_SIZE
+from ..sim.network import CONTROL_MSG_BYTES, PAGE_SIZE, wire
 from ..sim.stats import StatsCollector
 from ..switchsim.control_cpu import ControlCpu
 from ..switchsim.packets import InvalidationRequest
@@ -197,19 +197,15 @@ class MigrationManager:
         """One page: RDMA read from source, RDMA write to destination."""
         config = self.coherence.config
         # Switch -> source: read request; source streams the page back.
-        yield from self.engine.subtask(
-            src_blade.port.from_switch.transfer(CONTROL_MSG_BYTES)
-        )
+        yield from wire(src_blade.port.from_switch, CONTROL_MSG_BYTES)
         yield config.memory_service_us + config.dram_access_us
         data = src_blade.read_page(src_pa)
-        yield from self.engine.subtask(src_blade.port.to_switch.transfer(PAGE_SIZE))
+        yield from wire(src_blade.port.to_switch, PAGE_SIZE)
         # Switch -> destination: write the page; destination ACKs.
-        yield from self.engine.subtask(dst_blade.port.from_switch.transfer(PAGE_SIZE))
+        yield from wire(dst_blade.port.from_switch, PAGE_SIZE)
         yield config.memory_service_us + config.dram_access_us
         dst_blade.write_page(dst_pa, data)
-        yield from self.engine.subtask(
-            dst_blade.port.to_switch.transfer(CONTROL_MSG_BYTES)
-        )
+        yield from wire(dst_blade.port.to_switch, CONTROL_MSG_BYTES)
 
     # -- operational commands --------------------------------------------------
 

@@ -37,20 +37,21 @@ model" for the argument):
   execution order is exactly the order a single queue would have
   produced, while the dominant ``succeed()``-at-now traffic never pays
   any queue discipline at all.
-- When a process waits on an *already-triggered* event (uncontended
-  ``Resource.acquire``, joining a completed process) and no other event is
-  due at the current timestamp, it resumes synchronously instead of taking
-  a zero-delay trip through the scheduler.  The guard makes the fast path
-  unobservable: the continuation would have been the very next event to
-  execute anyway.  A bounded continuation depth
-  (:data:`MAX_INLINE_CONTINUATIONS`) keeps pathological always-ready
-  chains from starving the loop.  ``Resource.try_acquire`` applies the
-  same guard one step earlier: an uncontended grant that would have been
-  the next event anyway is taken inline, with no event object at all.
+- When a process sleeps and its wake-up would be the globally next event
+  (the ready deque is empty and every pending timer is strictly later),
+  the clock advances in place instead of taking a round trip through the
+  calendar.  A bounded budget (:data:`MAX_INLINE_CONTINUATIONS`) keeps a
+  lone sleeper from monopolising one dispatch.  ``Engine.subtask`` fuses
+  a spawn-and-join child into its parent, and ``Resource.try_acquire``
+  takes an uncontended grant inline, under the same guard: nothing else
+  is due at the current instant, so the work would have run next anyway.
 - Events created by ``Resource.acquire`` and ``Engine.timeout`` are
   recycled through a bounded freelist.  Pooled events are single-consumer
   by contract: exactly one process yields them, and their ``.value`` must
   be read through the ``yield`` expression, not off the event afterwards.
+
+One dispatch loop (:meth:`Engine._loop`) serves both :meth:`Engine.run`
+and :meth:`Engine.run_until_complete`, traced or not.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
 from ..obs.tracer import NULL_TRACER
 
-#: consecutive synchronous continuations one process may take before being
-#: bounced through the ready deque (guards against unbounded inline chains).
+#: consecutive inline clock advances one process may take before its next
+#: wake-up goes through the calendar (guards against unbounded inline chains).
 MAX_INLINE_CONTINUATIONS = 64
 
 #: recycled events kept per engine; beyond this they fall to the GC.
@@ -197,8 +198,7 @@ class Process(Event):
             value = None
         else:
             # Pooled events are single-consumer (the value is read here,
-            # the object is never retained), so a wake-up that arrived via
-            # the scheduler can recycle exactly like the inline path does.
+            # the object is never retained), so the wake-up recycles it.
             value = _wake.value
             if _wake._pooled:
                 engine._recycle(_wake)
@@ -227,22 +227,6 @@ class Process(Event):
             # int/numpy delays take the isinstance fallbacks below.
             if type(target) is not float:
                 if isinstance(target, Event):
-                    if (
-                        target.triggered
-                        and inline_budget > 0
-                        and not ready
-                        and engine._due_head > engine.now
-                    ):
-                        # Synchronous continuation: the scheduled wake-up
-                        # would have been the next event executed, so running
-                        # it now is unobservable -- and skips a scheduler
-                        # round-trip.
-                        inline_budget -= 1
-                        engine.inline_continuations += 1
-                        value = target.value
-                        if target._pooled:
-                            engine._recycle(target)
-                        continue
                     target.add_callback(self._resume)
                     return
                 if not isinstance(target, (int, float)):
@@ -273,15 +257,6 @@ class Process(Event):
                 return
             if target < 0.0:
                 raise SimulationError(f"negative timeout: {target!r}")
-            if (
-                inline_budget > 0
-                and not ready
-                and engine._due_head > engine.now
-            ):
-                inline_budget -= 1
-                engine.inline_continuations += 1
-                value = None
-                continue
             engine._schedule_now(self._resume, (None,))
             return
 
@@ -334,9 +309,6 @@ class Engine:
         self._adapt_now = 0.0
         # -- kernel counters --------------------------------------------
         self.events_executed = 0
-        #: waits short-circuited by the synchronous-continuation fast path
-        #: (each one is a scheduler round-trip that never happened).
-        self.inline_continuations = 0
         #: positive-delay waits absorbed by advancing the clock in place:
         #: the wake-up was provably the globally next event, so the queue
         #: round-trip is skipped and ``now`` is set directly.
@@ -543,7 +515,6 @@ class Engine:
         return {
             "events_executed": self.events_executed,
             "processes_started": self._processes_started,
-            "inline_continuations": self.inline_continuations,
             "inline_clock_advances": self.inline_clock_advances,
             "subtasks_fused": self.subtasks_fused,
             "calendar_rotations": self.calendar_rotations,
@@ -566,9 +537,9 @@ class Engine:
         """Spawn-and-join a child generator: ``result = yield from
         engine.subtask(gen)`` is semantically ``yield engine.process(gen)``.
 
-        When nothing else is due at the current instant (the same condition
-        that makes synchronous continuations unobservable) and tracing is
-        off, the child generator itself is returned and the caller's
+        When nothing else is due at the current instant (so the child's
+        start would have been the very next event) and tracing is off,
+        the child generator itself is returned and the caller's
         ``yield from`` drives it directly -- no Process allocation, no
         scheduler round-trips, no completion-event machinery, not even a
         wrapper frame.  The side-effect order is exactly what dispatching
@@ -602,92 +573,17 @@ class Engine:
 
     # -- execution -----------------------------------------------------
 
-    def _next_entry(self):
-        """Pop the globally next (time, seq) entry from deque + calendar."""
-        ready = self._ready
-        if ready:
-            due = self._due_head
-            first = ready[0]
-            if due < first[0] or (due == first[0] and self._due_seq < first[1]):
-                return self._timer_pop()
-            return ready.popleft()
-        if self._due_head != _INF:
-            return self._timer_pop()
-        return None
-
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains or the clock reaches ``until``.
 
         Returns the final simulated time.
         """
-        if self.tracer.enabled:
-            return self._run_traced(until)
-        # Untraced loop: no tracer branches on the hot path.
         self._until = until
         try:
-            return self._run_loop(self._ready, 0, until)
+            self._loop(until, None)
         finally:
             self._until = None
-
-    def _run_loop(
-        self,
-        ready: deque,
-        executed: int,
-        until: Optional[float],
-    ) -> float:
-        while True:
-            if ready:
-                due = self._due_head
-                first = ready[0]
-                if due < first[0] or (
-                    due == first[0] and self._due_seq < first[1]
-                ):
-                    entry = self._timer_pop()
-                else:
-                    entry = ready.popleft()
-            elif self._due_head != _INF:
-                if until is not None and self._due_head > until:
-                    break
-                entry = self._timer_pop()
-            else:
-                self.events_executed += executed
-                return self.now
-            self.now = entry[0]
-            entry[2](*entry[3])
-            executed += 1
-        self.events_executed += executed
-        self.now = until
         return self.now
-
-    def _run_traced(self, until: Optional[float] = None) -> float:
-        self._until = until
-        try:
-            return self._run_traced_loop(until)
-        finally:
-            self._until = None
-
-    def _run_traced_loop(self, until: Optional[float]) -> float:
-        tracer = self.tracer
-        while True:
-            if (
-                not self._ready
-                and self._due_head != _INF
-                and until is not None
-                and self._due_head > until
-            ):
-                self.now = until
-                return self.now
-            entry = self._next_entry()
-            if entry is None:
-                return self.now
-            self.now = entry[0]
-            entry[2](*entry[3])
-            self.events_executed += 1
-            if self.events_executed % self.TRACE_EVERY == 0:
-                tracer.counter(
-                    self.now, "engine", "event_queue_depth",
-                    self.pending_timer_count() + len(self._ready),
-                )
 
     def run_until_complete(self, ev: Event) -> Any:
         """Run until ``ev`` fires; returns its value.
@@ -697,49 +593,51 @@ class Engine:
         scheduled.  Raises if the queue drains without the event firing
         (a deadlock).
         """
-        if self.tracer.enabled:
-            return self._run_until_complete_traced(ev)
-        ready = self._ready
-        executed = 0
-        while not ev.triggered:
-            if ready:
-                due = self._due_head
-                first = ready[0]
-                if due < first[0] or (
-                    due == first[0] and self._due_seq < first[1]
-                ):
-                    entry = self._timer_pop()
-                else:
-                    entry = ready.popleft()
-            elif self._due_head != _INF:
-                entry = self._timer_pop()
-            else:
-                break
-            self.now = entry[0]
-            entry[2](*entry[3])
-            executed += 1
-        self.events_executed += executed
+        self._loop(None, ev)
         if not ev.triggered:
             raise SimulationError("event never fired: simulation deadlocked")
         return ev.value
 
-    def _run_until_complete_traced(self, ev: Event) -> Any:
+    def _loop(self, until: Optional[float], ev: Optional[Event]) -> None:
+        """Execute entries in global ``(time, seq)`` order, merging the
+        ready deque with the calendar, until the queue drains, the next
+        timer lies past ``until`` (the clock then stops at ``until``), or
+        ``ev`` fires.  With tracing on, a queue-depth counter is emitted
+        once per :attr:`TRACE_EVERY` executed events.
+        """
+        ready = self._ready
         tracer = self.tracer
-        while not ev.triggered:
-            entry = self._next_entry()
-            if entry is None:
-                break
-            self.now = entry[0]
-            entry[2](*entry[3])
-            self.events_executed += 1
-            if self.events_executed % self.TRACE_EVERY == 0:
-                tracer.counter(
-                    self.now, "engine", "event_queue_depth",
-                    self.pending_timer_count() + len(self._ready),
-                )
-        if not ev.triggered:
-            raise SimulationError("event never fired: simulation deadlocked")
-        return ev.value
+        traced = tracer.enabled
+        executed = 0
+        try:
+            while ev is None or not ev.triggered:
+                if ready:
+                    due = self._due_head
+                    first = ready[0]
+                    if due < first[0] or (
+                        due == first[0] and self._due_seq < first[1]
+                    ):
+                        entry = self._timer_pop()
+                    else:
+                        entry = ready.popleft()
+                elif self._due_head != _INF:
+                    if until is not None and self._due_head > until:
+                        self.now = until
+                        return
+                    entry = self._timer_pop()
+                else:
+                    return
+                self.now = entry[0]
+                entry[2](*entry[3])
+                executed += 1
+                if traced and (self.events_executed + executed) % self.TRACE_EVERY == 0:
+                    tracer.counter(
+                        self.now, "engine", "event_queue_depth",
+                        self.pending_timer_count() + len(ready),
+                    )
+        finally:
+            # Also on a raising callback: every event that ran is counted.
+            self.events_executed += executed
 
     def run_process(self, gen: Generator, name: Optional[str] = None) -> Any:
         """Convenience: start a process, run until it completes, return its
@@ -824,7 +722,7 @@ class Resource:
         Only takes effect when the grant is provably unobservable: the
         resource has a free server *and* nothing else is due at the current
         instant, so the acquiring process would have been resumed next
-        anyway (the same guard the synchronous-continuation path uses).  On
+        anyway (the same guard :meth:`Engine.subtask` uses).  On
         False the caller must fall back to ``yield self.acquire()``.
         """
         if self._in_use >= self.capacity:

@@ -182,19 +182,12 @@ class Link:
         """Claim the wire for a fast-path leg; -1.0 means take
         :meth:`transfer`.
 
-        The generator protocol costs real time on legs that dominate the
-        kernel profile, and an uncontended, fault-free leg does nothing a
-        plain pair of delays cannot express.  On success the link is held
-        (exactly as :meth:`transfer` would hold it) and the caller must::
-
-            yield ser_us              # the value returned here
-            yield link.finish(size)   # releases at now, pays propagation
-
-        which reproduces transfer()'s yield sequence -- serialization
-        while holding the wire, release at the serialization boundary,
-        then propagation -- with no generator frame.  Contended links and
-        links with armed fault windows refuse (-1.0): queueing and
-        loss/delay injection stay on the one authoritative path.
+        On success the link is held (exactly as :meth:`transfer` would
+        hold it) and :func:`wire` pays the returned serialization delay,
+        then :meth:`finish`'s propagation -- transfer()'s yield sequence
+        with no generator frame.  Contended links and links with armed
+        fault windows refuse (-1.0): queueing and loss/delay injection
+        stay on the one authoritative path.
 
         The quiet-window guard (ready deque empty, no timer due now) is
         load-bearing: transfer() driven through subtask() acquires the
@@ -267,6 +260,29 @@ class Link:
         """``(busy_time integral, capacity)`` for horizon-independent
         utilization accounting (see :meth:`Resource.busy_integral`)."""
         return self._resource.busy_integral(), self._resource.capacity
+
+
+def wire(link, size_bytes: int) -> Generator:
+    """Carry one payload over ``link``; returns True iff it was delivered.
+
+    ``delivered = yield from wire(link, n)`` is the one way simulation code
+    moves bytes.  It is observably ``yield engine.process(link.transfer(n))``
+    and takes the cheapest route that stays so: the whole uncontended leg
+    as one delay (:meth:`Link.try_leg`), else a claimed wire paid as two
+    delays (:meth:`Link.try_start` / :meth:`Link.finish`), else the full
+    :meth:`Link.transfer` generator under :meth:`Engine.subtask`.  Only
+    that last route can queue or drop.
+    """
+    leg = link.try_leg(size_bytes)
+    if leg >= 0.0:
+        yield leg
+        return True
+    ser = link.try_start(size_bytes)
+    if ser >= 0.0:
+        yield ser
+        yield link.finish(size_bytes)
+        return True
+    return (yield from link.engine.subtask(link.transfer(size_bytes)))
 
 
 class CompositePath:
@@ -402,14 +418,6 @@ class Network:
 
     def port(self, name: str) -> Port:
         return self.ports[name]
-
-    # -- data-path composition helpers ---------------------------------
-
-    def host_to_switch(self, port: Port, size_bytes: int) -> Generator:
-        yield from self.engine.subtask(port.to_switch.transfer(size_bytes))
-
-    def switch_to_host(self, port: Port, size_bytes: int) -> Generator:
-        yield from self.engine.subtask(port.from_switch.transfer(size_bytes))
 
     def total_bytes(self) -> int:
         """Bytes that occupied any link, including ones later dropped by an

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Generator, List, Optional
 
 from .engine import Engine
-from .network import CONTROL_MSG_BYTES, Network, NetworkConfig, Port
+from .network import CONTROL_MSG_BYTES, Network, NetworkConfig, Port, wire
 
 
 class RdmaTimeoutError(RuntimeError):
@@ -101,11 +101,11 @@ class RdmaQp:
     def post_request(self, size_bytes: int = CONTROL_MSG_BYTES) -> Generator:
         """Requester -> switch: verb post overhead + uplink transfer."""
         yield self.config.rdma_verb_overhead_us
-        yield from self.engine.subtask(self.local_port.to_switch.transfer(size_bytes))
+        yield from wire(self.local_port.to_switch, size_bytes)
 
     def receive_response(self, size_bytes: int) -> Generator:
         """Switch -> requester: downlink transfer + completion polling."""
-        yield from self.engine.subtask(self.local_port.from_switch.transfer(size_bytes))
+        yield from wire(self.local_port.from_switch, size_bytes)
         yield self.config.rdma_verb_overhead_us
 
     # -- reliable verbs (timeout + exponential-backoff retransmission) ----
@@ -130,7 +130,7 @@ class RdmaQp:
         attempts = self.backoff.max_retries + 1
         for attempt in range(attempts):
             yield self.config.rdma_verb_overhead_us
-            delivered = yield from self.engine.subtask(link.transfer(size_bytes))
+            delivered = yield from wire(link, size_bytes)
             if delivered:
                 return attempt
             if attempt < self.backoff.max_retries:
@@ -141,7 +141,6 @@ class RdmaQp:
 
 
 def one_sided_read(
-    engine: Engine,
     config: NetworkConfig,
     memory_port: Port,
     size_bytes: int,
@@ -152,13 +151,12 @@ def one_sided_read(
     it back.  No memory-blade CPU is involved, so the only costs are the NIC
     service time, DRAM, and the wire.
     """
-    yield from engine.subtask(memory_port.from_switch.transfer(CONTROL_MSG_BYTES))
+    yield from wire(memory_port.from_switch, CONTROL_MSG_BYTES)
     yield config.memory_service_us + config.dram_access_us
-    yield from engine.subtask(memory_port.to_switch.transfer(size_bytes))
+    yield from wire(memory_port.to_switch, size_bytes)
 
 
 def one_sided_write(
-    engine: Engine,
     config: NetworkConfig,
     memory_port: Port,
     size_bytes: int,
@@ -167,6 +165,6 @@ def one_sided_write(
 
     Completion is the memory blade NIC's ACK arriving back at the switch.
     """
-    yield from engine.subtask(memory_port.from_switch.transfer(size_bytes))
+    yield from wire(memory_port.from_switch, size_bytes)
     yield config.memory_service_us + config.dram_access_us
-    yield from engine.subtask(memory_port.to_switch.transfer(CONTROL_MSG_BYTES))
+    yield from wire(memory_port.to_switch, CONTROL_MSG_BYTES)

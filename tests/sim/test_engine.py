@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs.tracer import Tracer
 from repro.sim.engine import AllOf, Engine, Event, Resource, SimulationError
 
 
@@ -241,6 +242,66 @@ def test_run_until_complete_deadlock_detected():
 
     with pytest.raises(SimulationError):
         engine.run_process(stuck())
+
+
+class _Boom(Exception):
+    pass
+
+
+def _raise_boom():
+    raise _Boom()
+
+
+def test_raising_callback_keeps_events_executed_in_run():
+    # Every event that ran before the raising callback stays counted.
+    engine = Engine()
+    for t in range(1, 6):
+        engine.schedule(float(t), lambda: None)
+    engine.schedule(6.0, _raise_boom)
+    with pytest.raises(_Boom):
+        engine.run()
+    assert engine.events_executed == 5
+
+
+def test_raising_callback_keeps_events_executed_in_run_until_complete():
+    engine = Engine()
+    done = engine.event()
+    for t in range(1, 6):
+        engine.schedule(float(t), lambda: None)
+    engine.schedule(6.0, _raise_boom)
+    engine.schedule(7.0, done.succeed)
+    with pytest.raises(_Boom):
+        engine.run_until_complete(done)
+    assert engine.events_executed == 5
+
+
+def test_traced_queue_depth_cadence_spans_run_and_run_until_complete():
+    # The queue-depth counter fires once per TRACE_EVERY executed events,
+    # counted across calls: run() and then run_until_complete() on one
+    # engine sample exactly as one long run would.
+    engine = Engine()
+    samples = []
+
+    class _DepthProbe(Tracer):
+        def counter(self, ts, cat, name, value, track=0):
+            assert name == "event_queue_depth"
+            samples.append(value)
+
+    engine.tracer = _DepthProbe(capacity=0)
+    every = Engine.TRACE_EVERY
+    for i in range(every + every // 2):
+        engine.schedule(float(i + 1), lambda: None)
+    engine.run()
+    assert engine.events_executed == every + every // 2
+    assert len(samples) == 1
+
+    def tail():
+        for _ in range(every):
+            yield engine.timeout(0.5)
+
+    engine.run_process(tail())
+    assert engine.events_executed >= 2 * every
+    assert len(samples) == engine.events_executed // every
 
 
 def test_determinism_same_schedule_same_result():

@@ -1,5 +1,5 @@
-"""The kernel fast paths: inline continuations, the ready deque, the
-event freelist, and subtask fusion.
+"""The kernel fast paths: the inline clock-advance budget, the ready
+deque, the event freelist, and subtask fusion.
 
 Every fast path is *unobservable* by design -- it may only fire when the
 result is identical to the scheduler round-trip it replaces -- so these
@@ -31,21 +31,22 @@ class TestInlineContinuations:
 
         assert engine.run_process(proc()) == "done"
         assert engine.now == 0.0
-        assert engine.inline_continuations > 0
 
     def test_depth_bound_forces_scheduler_round_trips(self):
         # The inline budget caps how many waits one dispatch may absorb:
-        # a chain of N zero-delay yields must surface to the scheduler at
-        # least every MAX_INLINE_CONTINUATIONS steps (bounded stack/starvation).
+        # a lone sleeper's chain of N clock advances must surface to the
+        # scheduler at least every MAX_INLINE_CONTINUATIONS steps (bounded
+        # stack/starvation).
         engine = Engine()
         n = 10 * (MAX_INLINE_CONTINUATIONS + 1)
 
         def proc():
             for _ in range(n):
-                yield 0
+                yield 1.0
 
         engine.run_process(proc())
-        assert engine.inline_continuations < n
+        assert engine.now == float(n)
+        assert engine.inline_clock_advances < n
         assert engine.events_executed >= n // (MAX_INLINE_CONTINUATIONS + 1)
 
     def test_inline_never_overtakes_work_due_now(self):
@@ -319,7 +320,7 @@ class TestKernelStats:
         engine.run_process(proc())
         stats = engine.kernel_stats()
         assert stats["events_executed"] == engine.events_executed
-        assert stats["inline_continuations"] == engine.inline_continuations
+        assert stats["inline_clock_advances"] == engine.inline_clock_advances
         assert stats["subtasks_fused"] == engine.subtasks_fused
         assert stats["processes_started"] >= 1
 

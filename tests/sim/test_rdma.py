@@ -45,7 +45,7 @@ def test_qp_receive_response_page(rig):
 def test_one_sided_read_leg_latency(rig):
     engine, network, _compute, memory = rig
     cfg = network.config
-    engine.run_process(one_sided_read(engine, cfg, memory, PAGE_SIZE))
+    engine.run_process(one_sided_read(cfg, memory, PAGE_SIZE))
     expected = (
         cfg.serialization_us(CONTROL_MSG_BYTES)
         + cfg.link_propagation_us
@@ -60,7 +60,7 @@ def test_one_sided_read_leg_latency(rig):
 def test_one_sided_write_leg_latency(rig):
     engine, network, _compute, memory = rig
     cfg = network.config
-    engine.run_process(one_sided_write(engine, cfg, memory, PAGE_SIZE))
+    engine.run_process(one_sided_write(cfg, memory, PAGE_SIZE))
     # The page travels down; only a small ACK comes back.
     expected = (
         cfg.serialization_us(PAGE_SIZE)
@@ -79,9 +79,9 @@ def test_read_and_write_legs_are_symmetric(rig):
     e1 = Engine()
     n1 = Network(e1)
     m1 = n1.attach("m")
-    e1.run_process(one_sided_read(e1, cfg, m1, PAGE_SIZE))
+    e1.run_process(one_sided_read(cfg, m1, PAGE_SIZE))
     e2 = Engine()
     n2 = Network(e2)
     m2 = n2.attach("m")
-    e2.run_process(one_sided_write(e2, cfg, m2, PAGE_SIZE))
+    e2.run_process(one_sided_write(cfg, m2, PAGE_SIZE))
     assert e1.now == pytest.approx(e2.now)
