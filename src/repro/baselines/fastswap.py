@@ -138,11 +138,11 @@ class FastSwapSystem:
     def run_workload(self, workload: TraceWorkload) -> RunResult:
         """Replay all threads on the single compute blade."""
         bases = [self.mmap(spec.size_bytes) for spec in workload.region_specs()]
-        traces = workload.all_traces(bases)
-        procs = [self.engine.process(self.run_thread(t.stream())) for t in traces]
+        streams = workload.streams(bases)
+        procs = [self.engine.process(self.run_thread(s)) for s in streams]
         barrier = self.engine.all_of(procs)
         self.engine.run_until_complete(barrier)
-        total = sum(len(t) for t in traces)
+        total = sum(len(s) for s in streams)
         return RunResult(
             system=self.name,
             workload=workload.name,

@@ -314,15 +314,15 @@ class GamSystem:
     ) -> RunResult:
         """Replay every thread of ``workload``, round-robin across blades."""
         bases = [self.mmap(spec.size_bytes) for spec in workload.region_specs()]
-        traces = workload.all_traces(bases)
+        streams = workload.streams(bases)
         gens = []
-        for trace in traces:
-            blade = self.blades[trace.thread_id % len(self.blades)]
-            gens.append(self.run_thread(blade, trace.stream()))
+        for thread_id, stream in enumerate(streams):
+            blade = self.blades[thread_id % len(self.blades)]
+            gens.append(self.run_thread(blade, stream))
         procs = [self.engine.process(g) for g in gens]
         barrier = self.engine.all_of(procs)
         self.engine.run_until_complete(barrier)
-        total = sum(len(t) for t in traces)
+        total = sum(len(s) for s in streams)
         return RunResult(
             system=self.name,
             workload=workload.name,

@@ -17,21 +17,26 @@ page cache, an invariant the test suite checks.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..sim.network import PAGE_SIZE
 from ..core.vma import align_down
 
 
 class PageTableEntry:
-    """A local PTE: one domain's mapping of a cached page."""
+    """A local PTE: one domain's mapping of a cached page.
 
-    __slots__ = ("pdid", "va", "writable")
+    Entries of other domains mapping the same page chain through ``next``;
+    almost every page is mapped by a single domain, so the chain is short.
+    """
+
+    __slots__ = ("pdid", "va", "writable", "next")
 
     def __init__(self, pdid: int, va: int, writable: bool):
         self.pdid = pdid
         self.va = va
         self.writable = writable
+        self.next: Optional[PageTableEntry] = None
 
     def __repr__(self) -> str:
         return (
@@ -41,7 +46,11 @@ class PageTableEntry:
 
 
 class PteTable:
-    """Per-blade, per-domain page table plus TLB shootdown cost model."""
+    """Per-blade, per-domain page table plus TLB shootdown cost model.
+
+    Keyed by page: ``_pages`` maps a page va to the first domain's entry,
+    and further domains' entries of that page hang off its ``next`` chain.
+    """
 
     #: base cost of one synchronous shootdown (inter-processor interrupts,
     #: waiting for all cores to ACK); matches the "several microseconds"
@@ -51,36 +60,54 @@ class PteTable:
     SHOOTDOWN_PER_PAGE_US = 0.15
 
     def __init__(self) -> None:
-        self._entries: Dict[Tuple[int, int], PageTableEntry] = {}
-        #: page va -> set of domains mapping it (for page-keyed teardown).
-        self._by_page: Dict[int, Set[int]] = {}
+        self._pages: Dict[int, PageTableEntry] = {}
+        self._count = 0
         self.shootdowns = 0
         self.pages_shot_down = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._count
 
     def __contains__(self, va: int) -> bool:
         """True if *any* domain maps the page."""
-        return align_down(int(va), PAGE_SIZE) in self._by_page
+        return align_down(int(va), PAGE_SIZE) in self._pages
 
     def map_page(self, va: int, writable: bool, pdid: int = 0) -> None:
+        """Map the page for ``pdid``, replacing that domain's old entry."""
         page_va = align_down(int(va), PAGE_SIZE)
-        self._entries[(pdid, page_va)] = PageTableEntry(pdid, page_va, writable)
-        self._by_page.setdefault(page_va, set()).add(pdid)
+        new = PageTableEntry(pdid, page_va, writable)
+        prev: Optional[PageTableEntry] = None
+        cur = self._pages.get(page_va)
+        while cur is not None and cur.pdid != pdid:
+            prev, cur = cur, cur.next
+        if cur is None:
+            self._count += 1
+        else:
+            new.next = cur.next
+        if prev is None:
+            self._pages[page_va] = new
+        else:
+            prev.next = new
 
     def entry(self, va: int, pdid: int = 0) -> Optional[PageTableEntry]:
-        return self._entries.get((pdid, align_down(int(va), PAGE_SIZE)))
+        e = self._pages.get(align_down(int(va), PAGE_SIZE))
+        while e is not None and e.pdid != pdid:
+            e = e.next
+        return e
 
     def unmap_page(self, va: int) -> bool:
         """Remove every domain's mapping of the page (cache drop path)."""
-        page_va = align_down(int(va), PAGE_SIZE)
-        pdids = self._by_page.pop(page_va, None)
-        if not pdids:
+        e = self._pages.pop(align_down(int(va), PAGE_SIZE), None)
+        if e is None:
             return False
-        for pdid in pdids:
-            self._entries.pop((pdid, page_va), None)
+        while e is not None:
+            self._count -= 1
+            e = e.next
         return True
+
+    def _heads_in(self, base: int, size: int) -> List[Tuple[int, PageTableEntry]]:
+        """``(page va, chain head)`` of every mapped page in the range."""
+        return [(va, e) for va, e in self._pages.items() if base <= va < base + size]
 
     def unmap_domain_range(self, pdid: int, base: int, size: int) -> int:
         """Remove one domain's PTEs in a VA range (permission revocation).
@@ -89,46 +116,56 @@ class PteTable:
         the number of PTEs removed.
         """
         removed = 0
-        for (e_pdid, va) in list(self._entries):
-            if e_pdid == pdid and base <= va < base + size:
-                del self._entries[(e_pdid, va)]
-                holders = self._by_page.get(va)
-                if holders is not None:
-                    holders.discard(pdid)
-                    if not holders:
-                        del self._by_page[va]
-                removed += 1
+        for va, head in self._heads_in(base, size):
+            prev: Optional[PageTableEntry] = None
+            cur: Optional[PageTableEntry] = head
+            while cur is not None and cur.pdid != pdid:
+                prev, cur = cur, cur.next
+            if cur is None:
+                continue
+            if prev is not None:
+                prev.next = cur.next
+            elif cur.next is not None:
+                self._pages[va] = cur.next
+            else:
+                del self._pages[va]
+            removed += 1
+        self._count -= removed
         return removed
 
     def entries_in(self, base: int, size: int) -> List[PageTableEntry]:
-        return [
-            e for (_pdid, va), e in self._entries.items() if base <= va < base + size
-        ]
+        out = []
+        for _va, e in self._heads_in(base, size):
+            while e is not None:
+                out.append(e)
+                e = e.next
+        return out
 
     def pages_in(self, base: int, size: int) -> List[int]:
-        return [va for va in self._by_page if base <= va < base + size]
+        return [va for va, _e in self._heads_in(base, size)]
 
     def shootdown_region(
         self, base: int, size: int, downgrade_to_shared: bool
     ) -> float:
         """Unmap (or write-protect) the region's PTEs; returns the
         synchronous shootdown cost in microseconds (0 if nothing mapped)."""
-        affected = self.entries_in(base, size)
-        if not affected:
-            return 0.0
+        count = 0
         if downgrade_to_shared:
-            changed = 0
-            for entry in affected:
-                if entry.writable:
-                    entry.writable = False
-                    changed += 1
-            if changed == 0:
-                return 0.0
-            count = changed
+            for _va, e in self._heads_in(base, size):
+                while e is not None:
+                    if e.writable:
+                        e.writable = False
+                        count += 1
+                    e = e.next
         else:
-            for page_va in self.pages_in(base, size):
-                self.unmap_page(page_va)
-            count = len(affected)
+            for va, e in self._heads_in(base, size):
+                del self._pages[va]
+                while e is not None:
+                    count += 1
+                    e = e.next
+            self._count -= count
+        if count == 0:
+            return 0.0
         self.shootdowns += 1
         self.pages_shot_down += count
         return self.SHOOTDOWN_BASE_US + self.SHOOTDOWN_PER_PAGE_US * (count - 1)

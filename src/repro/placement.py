@@ -153,13 +153,13 @@ def run_with_placement(
         controller.sys_mmap(task.pid, spec.size_bytes)
         for spec in workload.region_specs()
     ]
-    traces = workload.all_traces(bases)
+    streams = workload.streams(bases)
     gens = []
-    for trace in traces:
-        blade = cluster.compute_blade(placement[trace.thread_id])
-        gens.append(blade.run_thread(task.pid, trace.stream()))
+    for thread_id, stream in enumerate(streams):
+        blade = cluster.compute_blade(placement[thread_id])
+        gens.append(blade.run_thread(task.pid, stream))
     cluster.run_all(gens)
-    total = sum(len(t) for t in traces)
+    total = sum(len(s) for s in streams)
     return RunResult(
         system=system_name,
         workload=workload.name,

@@ -143,13 +143,13 @@ def run_on_mind(
         controller.sys_mmap(task.pid, spec.size_bytes)
         for spec in workload.region_specs()
     ]
-    traces = workload.all_traces(bases)
+    streams = workload.streams(bases)
     if cfg.fault_plan is not None:
         # Arm after mmap so scheduled faults hit a populated control plane.
         cluster.inject_faults(cfg.fault_plan)
     arrival_spec = spec_from_config(cfg)
     gens = []
-    for trace in traces:
+    for thread_id, stream in enumerate(streams):
         thread = controller.place_thread(task.pid)
         blade = cluster.compute_blade(thread.blade_id)
         if arrival_spec is not None:
@@ -157,21 +157,17 @@ def run_on_mind(
                 open_loop_thread(
                     blade,
                     task.pid,
-                    trace.stream(),
+                    stream,
                     arrival_spec,
-                    thread_arrival_seed(
-                        workload.name, workload.seed, trace.thread_id
-                    ),
+                    thread_arrival_seed(workload.name, workload.seed, thread_id),
                     consistency,
-                    name=f"openloop.t{trace.thread_id}",
+                    name=f"openloop.t{thread_id}",
                 )
             )
         else:
-            gens.append(
-                blade.run_thread(task.pid, trace.stream(), consistency=consistency)
-            )
+            gens.append(blade.run_thread(task.pid, stream, consistency=consistency))
     cluster.run_all(gens)
-    total = sum(len(t) for t in traces)
+    total = sum(len(s) for s in streams)
     # Stash switch-resource and queueing telemetry the figures/reports need.
     cluster.capture_telemetry()
     return RunResult(

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import abc
 from array import array
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -72,10 +72,12 @@ class AccessStream:
 
     @classmethod
     def from_numpy(cls, vas: np.ndarray, writes: np.ndarray) -> "AccessStream":
-        return cls(
-            array("q", vas.astype(np.int64, copy=False).tolist()),
-            np.asarray(writes, dtype=np.uint8).tobytes(),
+        # Pack the raw int64 buffer: no Python int is made per access.
+        packed = array("q")
+        packed.frombytes(
+            memoryview(np.ascontiguousarray(vas, dtype=np.int64)).cast("B")
         )
+        return cls(packed, np.asarray(writes, dtype=np.uint8).tobytes())
 
     @classmethod
     def coerce(cls, accesses: "AccessOrStream") -> "AccessStream":
@@ -115,9 +117,6 @@ class ThreadTrace:
     thread_id: int
     vas: np.ndarray      # int64 virtual addresses
     writes: np.ndarray   # bool
-    _stream: Optional[AccessStream] = field(
-        default=None, repr=False, compare=False
-    )
 
     def __len__(self) -> int:
         return len(self.vas)
@@ -127,10 +126,8 @@ class ThreadTrace:
         return zip(self.vas.tolist(), self.writes.tolist())
 
     def stream(self) -> AccessStream:
-        """The compact array-backed form of this trace (memoized)."""
-        if self._stream is None:
-            self._stream = AccessStream.from_numpy(self.vas, self.writes)
-        return self._stream
+        """The compact array-backed form of this trace."""
+        return AccessStream.from_numpy(self.vas, self.writes)
 
     @property
     def write_fraction(self) -> float:
@@ -218,6 +215,14 @@ class TraceWorkload(abc.ABC):
 
     def all_traces(self, bases: Sequence[int]) -> List[ThreadTrace]:
         return [self.thread_trace(t, bases) for t in range(self.num_threads)]
+
+    def streams(self, bases: Sequence[int]) -> List[AccessStream]:
+        """Every thread's bound stream, indexed by thread id.
+
+        Replay needs only the compact form, so the bound numpy traces are
+        dropped once their streams are packed: a run keeps one copy.
+        """
+        return [t.stream() for t in self.all_traces(bases)]
 
     # -- summary statistics (used by tests & docs) -------------------------------
 

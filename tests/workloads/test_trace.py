@@ -1,11 +1,16 @@
 """Unit tests for the trace framework."""
 
+from array import array
+
 import numpy as np
 import pytest
 
 from repro.sim.network import PAGE_SIZE
+from repro.sweep.spec import WORKLOAD_BUILDERS
+from repro.workloads import FileWorkload, TeamSharingWorkload, record_workload
 from repro.workloads.synthetic import UniformSharingWorkload
 from repro.workloads.trace import (
+    AccessStream,
     RegionSpec,
     ThreadTrace,
     interleave,
@@ -86,6 +91,26 @@ class TestBinding:
         assert [t.thread_id for t in traces] == [0, 1, 2]
 
 
+@pytest.mark.parametrize("name", sorted(WORKLOAD_BUILDERS) + ["scoped", "file"])
+def test_streams_match_all_traces(name, tmp_path):
+    """``streams`` packs what ``all_traces`` binds, in thread order."""
+
+    def make():
+        if name == "scoped":
+            return TeamSharingWorkload(4, accesses_per_thread=300, team_size=2, seed=5)
+        if name == "file":
+            return FileWorkload(tmp_path / "bundle.npz", burst=3)
+        return WORKLOAD_BUILDERS[name](4, seed=5, accesses_per_thread=300)
+
+    if name == "file":
+        record_workload(WORKLOAD_BUILDERS["uniform"](4, seed=5), tmp_path / "bundle.npz")
+    bases = bases_for(make())
+    got = make().streams(bases)
+    want = [t.stream() for t in make().all_traces(bases)]
+    assert len(got) == len(want) == 4
+    assert [(g.vas, g.writes) for g in got] == [(w.vas, w.writes) for w in want]
+
+
 class TestBurst:
     def test_burst_repeats_pages(self):
         wl = make_workload(burst=4, accesses_per_thread=400)
@@ -154,3 +179,31 @@ class TestInterleave:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             interleave([])
+
+
+class TestAccessStreamPacking:
+    """``from_numpy`` packs the raw buffer; it must equal the ``tolist()`` form."""
+
+    @staticmethod
+    def _via_list(vas, writes):
+        return array("q", np.asarray(vas).astype(np.int64).tolist()), bytes(
+            1 if w else 0 for w in np.asarray(writes).tolist()
+        )
+
+    @pytest.mark.parametrize(
+        "vas",
+        [
+            np.arange(0, 50 * PAGE_SIZE, PAGE_SIZE, dtype=np.int32),
+            (np.arange(40, dtype=np.int64) * PAGE_SIZE + (1 << 40))[::2],
+            np.array([-PAGE_SIZE, 0, PAGE_SIZE], dtype=np.int64),
+            np.array([], dtype=np.int64),
+        ],
+        ids=["int32", "strided", "signed", "empty"],
+    )
+    def test_matches_tolist_path(self, vas):
+        writes = np.arange(len(vas)) % 3 == 0
+        stream = AccessStream.from_numpy(vas, writes)
+        want_vas, want_writes = self._via_list(vas, writes)
+        assert stream.vas.typecode == "q"
+        assert stream.vas == want_vas
+        assert stream.writes == want_writes
