@@ -211,11 +211,12 @@ class ComputeBlade:
             result: FaultResult = yield from self.engine.subtask(
                 self.datapath.handle_fault(req)
             )
-            while result.stale:
+            while result.stale or result.was_reset:
                 # A switch fail-over landed while this transaction was in
-                # flight: its directory effects may be gone.  Discard the
-                # result (never insert a stale page) and re-issue against
-                # the rebuilt data plane.
+                # flight, or a Section 4.4 reset dropped its region's
+                # directory entry: either way its directory effects may be
+                # gone.  Discard the result (never insert a page the
+                # directory does not track) and re-issue.
                 self.stats.incr("faults_reissued")
                 result = yield from self.engine.subtask(
                     self.datapath.handle_fault(req)

@@ -58,11 +58,6 @@ class AddressSpace:
         self._blade_entries: Dict[int, TcamEntry] = {}
         self._outlier_entries: List[TcamEntry] = []
         self._next_slot = 0
-        #: memoized va -> Translation.  Pure software memoization of the
-        #: (deterministic) TCAM LPM result; flushed on any entry mutation.
-        #: Models nothing -- the hardware does the lookup per packet either
-        #: way -- it just keeps the simulator off the O(entries) scan.
-        self._xlate_cache: Dict[int, Translation] = {}
 
     # -- blade membership -------------------------------------------------
 
@@ -79,7 +74,6 @@ class AddressSpace:
         data = _XlateData(blade_id, pa_delta=-va_base, outlier=False)
         entry = self.tcam.insert_prefix(va_base, self.blade_capacity, data)
         self._blade_entries[blade_id] = entry
-        self._xlate_cache.clear()
         return va_base
 
     def remove_blade(self, blade_id: int) -> None:
@@ -87,7 +81,6 @@ class AddressSpace:
         if entry is None:
             raise KeyError(f"no translation entry for blade {blade_id}")
         self.tcam.remove(entry)
-        self._xlate_cache.clear()
 
     def blade_va_base(self, blade_id: int) -> int:
         entry = self._blade_entries[blade_id]
@@ -106,18 +99,13 @@ class AddressSpace:
     def translate(self, va: int) -> Translation:
         """LPM lookup: the most specific (outlier first) entry wins."""
         va = int(va)  # tolerate numpy integer inputs
-        cached = self._xlate_cache.get(va)
-        if cached is not None:
-            return cached
         if not 0 <= va < (1 << VA_WIDTH):
             raise TranslationFault(f"va {va:#x} outside the {VA_WIDTH}-bit space")
         entry = self.tcam.lookup(va)
         if entry is None or not isinstance(entry.data, _XlateData):
             raise TranslationFault(f"no translation for va {va:#x}")
         data: _XlateData = entry.data
-        result = Translation(data.blade_id, va + data.pa_delta, data.outlier)
-        self._xlate_cache[va] = result
-        return result
+        return Translation(data.blade_id, va + data.pa_delta, data.outlier)
 
     # -- outliers (page migration, static binary addresses) ---------------
 
@@ -130,7 +118,6 @@ class AddressSpace:
         data = _XlateData(blade_id, pa_delta=pa_base - va_base, outlier=True)
         entry = self.tcam.insert_prefix(va_base, size, data)
         self._outlier_entries.append(entry)
-        self._xlate_cache.clear()
 
     def remove_outlier(self, va_base: int, size: int) -> None:
         for entry in self._outlier_entries:
@@ -139,7 +126,6 @@ class AddressSpace:
                 if entry_size == size:
                     self._outlier_entries.remove(entry)
                     self.tcam.remove(entry)
-                    self._xlate_cache.clear()
                     return
         raise KeyError(f"no outlier entry at {va_base:#x} size {size:#x}")
 

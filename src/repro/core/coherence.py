@@ -32,7 +32,6 @@ from ..sim.network import (
     Port,
     pop_deferred_us,
 )
-from ..sim.rdma import BackoffPolicy
 from ..sim.stats import StatsCollector
 from ..switchsim.multicast import MulticastEngine
 from ..switchsim.packets import InvalidationRequest, MemRequest, PacketVerdict
@@ -48,7 +47,6 @@ from .vma import align_down
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..blades.memory import MemoryBlade
-    from ..faults.message_loss import MessageLossInjector
 
 #: Multicast group containing every compute blade (invalidation fan-out).
 COMPUTE_BLADE_GROUP = 1
@@ -62,11 +60,6 @@ class CoherenceProtocol:
     """The switch-resident coherence engine: a thin orchestrator wiring
     STT verdicts to the admission, invalidation, and data-path layers."""
 
-    #: retransmission timeout for invalidation ACKs (us).
-    ACK_TIMEOUT_US = 100.0
-    #: retransmissions before the reset protocol kicks in.
-    MAX_RETRIES = 3
-
     def __init__(
         self,
         engine: Engine,
@@ -78,7 +71,6 @@ class CoherenceProtocol:
         protection: ProtectionTable,
         stt: Dict,
         stats: StatsCollector,
-        fault_injector: Optional["MessageLossInjector"] = None,
         invalidation_mode: str = "multicast",
         control_cpu=None,
         pending_table_capacity: int = 256,
@@ -93,7 +85,6 @@ class CoherenceProtocol:
         self.protection = protection
         self.stt = stt
         self.stats = stats
-        self.fault_injector = fault_injector
         if invalidation_mode not in ("multicast", "unicast-cpu"):
             raise ValueError(f"unknown invalidation mode {invalidation_mode!r}")
         #: "multicast" (the paper's P3 design: one data-plane pass, egress
@@ -101,13 +92,6 @@ class CoherenceProtocol:
         #: one invalidation packet per sharer, serially).
         self.invalidation_mode = invalidation_mode
         self.control_cpu = control_cpu
-        #: Section 4.4 retransmission backoff (exponential, capped).
-        self.backoff = BackoffPolicy(
-            base_timeout_us=self.ACK_TIMEOUT_US,
-            multiplier=2.0,
-            max_retries=self.MAX_RETRIES,
-            max_timeout_us=8 * self.ACK_TIMEOUT_US,
-        )
         # The layered engine: admission/pending table, invalidation, data path.
         self.pending = PendingTransactionTable(
             engine, stats, capacity=pending_table_capacity

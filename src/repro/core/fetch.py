@@ -6,6 +6,14 @@ headers so blades never learn endpoints), the MOESI cache-to-cache
 ``FETCH_FROM_OWNER`` transfer, dirty-page write-backs (synchronous and
 asynchronous), and the reliable-delivery helper every leg uses.
 
+Loss model (Section 4.4): packets are lost only by link-level fault
+windows (:class:`repro.sim.network.LinkFault`), and only two places
+retransmit them.  :meth:`DataPath.send` re-sends a dropped data leg
+forever, waiting :func:`backoff_us` between attempts;
+:meth:`InvalidationEngine._invalidate_with_retry` re-sends an
+invalidation up to :data:`MAX_RETRIES` times and then resets the region.
+Nothing raises a typed give-up.
+
 Ordering invariant: a fetch of a page whose asynchronous write-back has
 not landed yet must wait for the flush (``pending_flushes``), so a read
 can never observe stale memory behind an in-flight flush.
@@ -28,6 +36,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .coherence import CoherenceProtocol
 
 
+#: Section 4.4 retransmission timeout of the first retry (us).
+ACK_TIMEOUT_US = 100.0
+#: invalidation retransmissions before the reset protocol kicks in; also
+#: the last doubling of the backoff.
+MAX_RETRIES = 3
+
+
+def backoff_us(attempt: int) -> float:
+    """Wait before retransmission ``attempt`` (0-based): 100, 200, 400,
+    800, 800, ... us.  The exponent is clamped here, so
+    :meth:`DataPath.send`'s unbounded attempt count cannot overflow."""
+    return ACK_TIMEOUT_US * 2.0 ** min(attempt, MAX_RETRIES)
+
+
 class DataPath:
     """Owns payload movement between blades, switch, and memory."""
 
@@ -47,24 +69,24 @@ class DataPath:
         (a lost payload is simply re-sent); invalidation/ACK legs instead
         surface the loss so the ACK-timeout machinery drives the retry.
         """
-        ctx = self.ctx
+        stats = self.ctx.stats
         attempt = 0
         while not (yield from wire(link, size_bytes)):
-            ctx.stats.incr("retransmissions")
-            ctx.stats.incr("link_retransmissions")
-            yield ctx.backoff.timeout_us(min(attempt, ctx.MAX_RETRIES))
+            stats.incr("retransmissions")
+            stats.incr("link_retransmissions")
+            yield backoff_us(attempt)
             attempt += 1
 
     def blade_ready(self, blade) -> Generator:
         """Wait out a paused (crashed/stalled) memory blade: each probe
         that goes unanswered costs one backoff timeout."""
-        ctx = self.ctx
+        stats = self.ctx.stats
         attempt = 0
         while not getattr(blade, "available", True):
             if hasattr(blade, "refuse"):
                 blade.refuse()
-            ctx.stats.incr("blade_timeouts")
-            yield ctx.backoff.timeout_us(min(attempt, ctx.MAX_RETRIES))
+            stats.incr("blade_timeouts")
+            yield backoff_us(attempt)
             attempt += 1
 
     def blade_service_us(self, blade) -> float:
@@ -189,38 +211,9 @@ class DataPath:
     # -- memory-blade fetch ---------------------------------------------------
 
     def fetch(self, req: MemRequest, requester: Port, page_va: int) -> Generator:
-        """One-sided RDMA fetch, retransmitted on loss (Section 4.4: ACKs
-        and timeouts detect packet losses on every message class).
-
-        Plain dispatch, not a generator: with no fault injector installed
-        the per-attempt drop check can never fire, so the retry loop's
-        generator frame is skipped entirely and callers drive
-        :meth:`_fetch_once` directly (``yield from`` and ``process()``
-        both accept the returned generator unchanged).
-        """
-        if self.ctx.fault_injector is None:
-            return self._fetch_once(req, requester, page_va)
-        return self._fetch_lossy(req, requester, page_va)
-
-    def _fetch_lossy(self, req: MemRequest, requester: Port, page_va: int) -> Generator:
-        ctx = self.ctx
-        for attempt in range(ctx.MAX_RETRIES + 1):
-            lost = (
-                ctx.fault_injector is not None
-                and ctx.fault_injector.should_drop_fetch()
-            )
-            if not lost:
-                data = yield from self._fetch_once(req, requester, page_va)
-                return data
-            ctx.stats.incr("retransmissions")
-            yield ctx.backoff.timeout_us(attempt)
-        # Persistent loss: serve the final attempt unconditionally (the
-        # reset machinery handles wedged *coherence* state; a fetch has no
-        # state to wedge).
-        data = yield from self._fetch_once(req, requester, page_va)
-        return data
-
-    def _fetch_once(self, req: MemRequest, requester: Port, page_va: int) -> Generator:
+        """One-sided RDMA fetch; every leg goes through :meth:`send`, so a
+        leg a link fault drops is retransmitted (Section 4.4: ACKs and
+        timeouts detect packet losses on every message class)."""
         ctx = self.ctx
         engine = ctx.engine
         xlate = ctx.address_space.translate(page_va)

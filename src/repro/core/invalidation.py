@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Generator, List
 from ..sim.network import CONTROL_MSG_BYTES, PAGE_SIZE, wire
 from ..switchsim.packets import InvalidationAck, InvalidationRequest
 from .directory import CoherenceState, Region
+from .fetch import MAX_RETRIES, backoff_us
 from .vma import align_down
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -98,26 +99,14 @@ class InvalidationEngine:
     ) -> Generator:
         """One target: deliver, await ACK, retransmit on loss with
         exponential backoff, reset after MAX_RETRIES (Section 4.4)."""
-        ctx = self.ctx
-        for attempt in range(ctx.MAX_RETRIES + 1):
-            dropped_out = (
-                ctx.fault_injector is not None
-                and ctx.fault_injector.should_drop_invalidation()
-            )
-            if not dropped_out:
-                ack = yield from self._invalidate_at(inval, port_id, region)
-                dropped_back = (
-                    ctx.fault_injector is not None
-                    and ctx.fault_injector.should_drop_ack()
-                )
-                # ``ack is None``: a link-level fault window ate one of the
-                # legs -- indistinguishable, to the switch, from the
-                # protocol-level drops the injector models.
-                if ack is not None and not dropped_back:
-                    return ack
-            # Lost somewhere: wait out the (growing) timeout, retransmit.
-            ctx.stats.incr("retransmissions")
-            yield ctx.backoff.timeout_us(attempt)
+        for attempt in range(MAX_RETRIES + 1):
+            ack = yield from self._invalidate_at(inval, port_id, region)
+            if ack is not None:
+                return ack
+            # A link fault ate a leg: wait out the (growing) timeout and
+            # retransmit.
+            self.ctx.stats.incr("retransmissions")
+            yield backoff_us(attempt)
         yield from self.reset_region(region)
         return None
 

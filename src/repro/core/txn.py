@@ -56,6 +56,8 @@ class FaultResult:
     translation: Optional[Translation] = None
     granted_write: bool = False
     invalidations_sent: int = 0
+    #: an invalidation went unacknowledged and the Section 4.4 reset
+    #: dropped the region's directory entry: the blade must re-issue.
     was_reset: bool = False
     #: a switch fail-over happened mid-flight: directory effects may be
     #: lost, so the blade must re-issue against the rebuilt data plane.

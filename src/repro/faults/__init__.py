@@ -4,13 +4,14 @@
 - :mod:`repro.faults.injector` -- arms a plan on a running cluster.
 - :mod:`repro.faults.failover` -- the in-simulation switch fail-over
   sequence (detection, rebuild-from-replica, quiesce, re-warm).
-- :mod:`repro.faults.message_loss` -- protocol-level message drops
-  (formerly ``repro.core.coherence.MessageLossInjector``).
+
+Packet loss has one model: a :class:`LinkLossWindow` arms a seeded
+:class:`repro.sim.network.LinkFault` on the links it names, and the
+coherence engine retransmits what those links drop.
 """
 
 from .failover import FailoverConfig, FailoverOrchestrator
 from .injector import FaultInjector
-from .message_loss import MessageLossInjector
 from .plan import (
     BladeOutage,
     BladeSlowdown,
@@ -35,6 +36,5 @@ __all__ = [
     "FaultPlan",
     "FaultPlanError",
     "LinkLossWindow",
-    "MessageLossInjector",
     "SwitchCrash",
 ]

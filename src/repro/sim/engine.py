@@ -45,6 +45,8 @@ model" for the argument):
   a spawn-and-join child into its parent, and ``Resource.try_acquire``
   takes an uncontended grant inline, under the same guard: nothing else
   is due at the current instant, so the work would have run next anyway.
+  A fused child's join re-checks the guard and re-queues the parent when
+  work became ready or due while the child ran.
 - Events created by ``Resource.acquire`` and ``Engine.timeout`` are
   recycled through a bounded freelist.  Pooled events are single-consumer
   by contract: exactly one process yields them, and their ``.value`` must
@@ -539,13 +541,12 @@ class Engine:
 
         When nothing else is due at the current instant (so the child's
         start would have been the very next event) and tracing is off,
-        the child generator itself is returned and the caller's
-        ``yield from`` drives it directly -- no Process allocation, no
-        scheduler round-trips, no completion-event machinery, not even a
-        wrapper frame.  The side-effect order is exactly what dispatching
-        the child's start next would have produced.  Any other time -- or
-        whenever the tracer is on, so per-process spans and names stay
-        stable -- it falls back to a real spawn-and-join process.
+        the caller's ``yield from`` drives the child directly -- no Process
+        allocation and no completion-event machinery.  The side-effect
+        order is exactly what dispatching the child's start next would
+        have produced.  Any other time -- or whenever the tracer is on, so
+        per-process spans and names stay stable -- it falls back to a real
+        spawn-and-join process.
         """
         if (
             not self._ready
@@ -553,8 +554,17 @@ class Engine:
             and self._due_head > self.now
         ):
             self.subtasks_fused += 1
-            return gen
+            return self._fused_join(gen)
         return self._spawn_join(gen)
+
+    def _fused_join(self, gen: Generator) -> Generator:
+        result = yield from gen
+        if self._ready or self._due_head <= self.now:
+            # A spawned child's completion would queue the parent behind
+            # everything already ready or due at this instant; so must the
+            # fused join.
+            yield 0.0
+        return result
 
     def _spawn_join(self, gen: Generator) -> Generator:
         return (yield self.process(gen))

@@ -145,7 +145,8 @@ class Link:
         A timer or ``until`` limit landing *exactly* at the leg's end is
         safe: the slow path would have released the wire at the
         serialization boundary, so an observer at the endpoint sees a
-        free wire and identical accounting either way.
+        free wire and identical accounting either way, and :func:`wire`
+        queues the sender behind whatever that timer makes ready.
         """
         engine = self.engine
         res = self._resource
@@ -276,13 +277,18 @@ def wire(link, size_bytes: int) -> Generator:
     leg = link.try_leg(size_bytes)
     if leg >= 0.0:
         yield leg
-        return True
-    ser = link.try_start(size_bytes)
-    if ser >= 0.0:
+    else:
+        ser = link.try_start(size_bytes)
+        if ser < 0.0:
+            return (yield from link.engine.subtask(link.transfer(size_bytes)))
         yield ser
         yield link.finish(size_bytes)
-        return True
-    return (yield from link.engine.subtask(link.transfer(size_bytes)))
+    engine = link.engine
+    if engine._ready or engine._due_head <= engine.now:
+        # The join, as in Engine.subtask: a spawned transfer's completion
+        # would queue the caller behind work already due at the leg's end.
+        yield 0.0
+    return True
 
 
 class CompositePath:

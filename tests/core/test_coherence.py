@@ -7,13 +7,11 @@ directory state, invalidation traffic, latency structure and reliability.
 import pytest
 
 from repro.blades.compute import SegmentationFault
-from repro.faults import MessageLossInjector
 from repro.core.directory import CoherenceState
 from repro.core.vma import PermissionClass
-from repro.sim.rng import make_rng
 from repro.sim.network import PAGE_SIZE
 
-from conftest import small_cluster
+from conftest import arm_packet_loss, packets_dropped, small_cluster
 
 I, S, M = CoherenceState.INVALID, CoherenceState.SHARED, CoherenceState.MODIFIED
 
@@ -258,54 +256,66 @@ class TestCapacityEviction:
 
 class TestReliability:
     def test_lost_invalidations_retransmitted(self):
-        injector = MessageLossInjector(make_rng(7), drop_invalidations=0.5)
         cluster = small_cluster()
-        cluster.mmu.coherence.fault_injector = injector
         pid, base = setup_proc(cluster)
+        # Each write invalidates the other blade's copy over that blade's
+        # downlink.
+        links = [
+            link
+            for seed, port in enumerate(("compute0", "compute1"), start=7)
+            for link in arm_packet_loss(
+                cluster, port, "from_switch", 0.5, seed=seed
+            )
+        ]
         for i in range(6):
             touch(cluster, 0, pid, base, write=True)
             touch(cluster, 1, pid, base, write=True)
+        assert packets_dropped(links) > 0
         assert cluster.stats.counter("retransmissions") >= 1
         # Protocol still converged to a single owner.
         region = cluster.mmu.directory.find(base)
         assert region.state in (M, I)
 
     def test_reset_after_max_retries(self):
-        injector = MessageLossInjector(make_rng(7), drop_invalidations=1.0)
         cluster = small_cluster()
-        cluster.mmu.coherence.fault_injector = injector
         pid, base = setup_proc(cluster)
         touch(cluster, 0, pid, base, write=True)
-        injector.drop_invalidations = 1.0
+        # Persistent loss towards the owner, longer than the 1,500 us
+        # backoff budget of its invalidation.
+        links = arm_packet_loss(
+            cluster, "compute0", "from_switch", 1.0, duration_us=3_000
+        )
         touch(cluster, 1, pid, base, write=True)
+        assert packets_dropped(links) >= 4
         assert cluster.stats.counter("resets") >= 1
+        region = cluster.mmu.directory.find(base)
+        assert region.state is M
+        assert region.owner == cluster.compute_blades[1].port.port_id
 
     def test_lost_fetches_retransmitted(self):
-        injector = MessageLossInjector(make_rng(3), drop_fetches=0.5)
         cluster = small_cluster()
-        cluster.mmu.coherence.fault_injector = injector
         pid, base = setup_proc(cluster)
+        links = arm_packet_loss(cluster, "mem0", "both", 0.5, seed=3)
         for i in range(8):
             touch(cluster, 0, pid, base + i * PAGE_SIZE, write=False)
+        assert packets_dropped(links) > 0
         assert cluster.stats.counter("retransmissions") >= 1
         # Every page still arrived.
         for i in range(8):
             assert cluster.compute_blades[0].cache.peek(base + i * PAGE_SIZE)
 
     def test_fetch_loss_adds_timeout_latency(self):
-        from repro.core.coherence import CoherenceProtocol
-
-        injector = MessageLossInjector(make_rng(3), drop_fetches=1.0)
+        # The memory blade's links drop everything for 3 ms: the fetch
+        # retransmits through the window and completes once it closes.
         cluster = small_cluster()
-        cluster.mmu.coherence.fault_injector = injector
         pid, base = setup_proc(cluster)
         t0 = cluster.engine.now
+        links = arm_packet_loss(cluster, "mem0", "both", 1.0, duration_us=3_000)
         touch(cluster, 0, pid, base, write=False)
-        elapsed = cluster.engine.now - t0
-        expected_waits = (
-            CoherenceProtocol.MAX_RETRIES + 1
-        ) * CoherenceProtocol.ACK_TIMEOUT_US
-        assert elapsed > expected_waits
+        assert cluster.engine.now > t0 + 3_000
+        assert packets_dropped(links) > 0
+        assert cluster.stats.counter("retransmissions") == packets_dropped(links)
+        assert cluster.compute_blades[0].cache.peek(base)
 
     def test_no_injection_no_retransmissions(self, cluster):
         pid, base = setup_proc(cluster)

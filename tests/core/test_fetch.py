@@ -6,6 +6,7 @@ the pending-flush entry while the protocol is gated by ``begin_outage`` --
 the fail-over quiesce re-flushes dirty pages and synchronizes on that map.
 """
 
+from repro.core.fetch import ACK_TIMEOUT_US, MAX_RETRIES, backoff_us
 from repro.sim.network import PAGE_SIZE
 
 from conftest import small_cluster
@@ -15,6 +16,21 @@ def setup_proc(cluster, length=1 << 16):
     ctl = cluster.controller
     task = ctl.sys_exec("t")
     return task.pid, ctl.sys_mmap(task.pid, length)
+
+
+class TestBackoff:
+    def test_schedule_is_exponential_and_capped(self):
+        schedule = [backoff_us(k) for k in range(6)]
+        assert schedule == [100.0, 200.0, 400.0, 800.0, 800.0, 800.0]
+        # DataPath.send counts attempts without bound; the clamp keeps
+        # 2.0 ** attempt from ever overflowing.
+        assert backoff_us(10_000) == 800.0
+
+    def test_timeout_grows_per_attempt(self):
+        assert backoff_us(0) == ACK_TIMEOUT_US
+        assert backoff_us(1) == 2 * ACK_TIMEOUT_US
+        assert backoff_us(2) == 4 * ACK_TIMEOUT_US
+        assert backoff_us(MAX_RETRIES) == 8 * ACK_TIMEOUT_US
 
 
 class TestFlushFetchOrdering:

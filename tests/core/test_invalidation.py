@@ -1,23 +1,11 @@
 """InvalidationEngine unit tests: builders, transport retries, reset, and
 the unicast-cpu ablation's serialization cost."""
 
-from repro.cluster import ClusterConfig, MindCluster
 from repro.core.directory import CoherenceState
-from repro.core.mmu import MindConfig
-from repro.faults import MessageLossInjector
-from repro.sim.rng import make_rng
 
-from conftest import small_cluster
+from conftest import arm_packet_loss, packets_dropped, small_cluster
 
 I, S, M = CoherenceState.INVALID, CoherenceState.SHARED, CoherenceState.MODIFIED
-
-
-def lossy_cluster(injector, **mind_kwargs):
-    mind = MindConfig(directory_capacity=256, enable_bounded_splitting=False, **mind_kwargs)
-    return MindCluster(
-        ClusterConfig(num_compute_blades=2, cache_capacity_pages=64, mind=mind),
-        fault_injector=injector,
-    )
 
 
 def setup_proc(cluster, length=1 << 16):
@@ -61,13 +49,17 @@ class TestBuilders:
 
 
 class TestRetryAndReset:
+    """Link-level loss on the invalidation target's port: its
+    ``from_switch`` link carries the invalidation, ``to_switch`` the ACK.
+    Loss seed 1 drops the first three attempts, short of a reset."""
+
     def test_dropped_invalidation_retried_to_completion(self):
-        injector = MessageLossInjector(make_rng(2), drop_invalidations=0.5)
-        cluster = lossy_cluster(injector)
+        cluster = small_cluster()
         pid, base = setup_proc(cluster)
         touch(cluster, 0, pid, base, write=False)
+        links = arm_packet_loss(cluster, "compute0", "from_switch", 0.5, seed=1)
         touch(cluster, 1, pid, base, write=True)
-        assert injector.dropped > 0
+        assert packets_dropped(links) > 0
         assert cluster.stats.counter("retransmissions") > 0
         # Despite the loss, the write completed with a coherent directory.
         region = cluster.mmu.directory.find(base)
@@ -75,22 +67,37 @@ class TestRetryAndReset:
         assert region.owner == cluster.compute_blades[1].port.port_id
 
     def test_dropped_acks_retried_idempotently(self):
-        injector = MessageLossInjector(make_rng(2), drop_acks=0.5)
-        cluster = lossy_cluster(injector)
+        cluster = small_cluster()
         pid, base = setup_proc(cluster)
         touch(cluster, 0, pid, base, write=False)
+        links = arm_packet_loss(cluster, "compute0", "to_switch", 0.5, seed=1)
         touch(cluster, 1, pid, base, write=True)
+        assert packets_dropped(links) > 0
         assert cluster.stats.counter("retransmissions") > 0
         region = cluster.mmu.directory.find(base)
         assert region.state is M
 
     def test_persistent_loss_triggers_reset(self):
-        injector = MessageLossInjector(make_rng(3), drop_invalidations=1.0)
-        cluster = lossy_cluster(injector)
+        cluster = small_cluster()
         pid, base = setup_proc(cluster)
-        touch(cluster, 0, pid, base, write=False)
-        touch(cluster, 1, pid, base, write=True)
+        b0, b1 = cluster.compute_blades
+        cluster.run_process(b0.store_bytes(pid, base, b"old"))
+        # Longer than the 1,500 us the four invalidation attempts wait
+        # out; the reset's own legs land once the window closes.
+        links = arm_packet_loss(
+            cluster, "compute0", "from_switch", 1.0, duration_us=3_000
+        )
+        cluster.run_process(b1.store_bytes(pid, base, b"new"))
+        assert packets_dropped(links) >= 4
         assert cluster.stats.counter("resets") >= 1
+        # The reset dropped the region's directory entry mid-transaction;
+        # the writer re-issued its fault, so the directory tracks its copy
+        # and the other blade reads the new bytes, not a stale page.
+        assert cluster.stats.counter("faults_reissued") >= 1
+        region = cluster.mmu.directory.find(base)
+        assert region.state is M
+        assert region.owner == b1.port.port_id
+        assert cluster.run_process(b0.load_bytes(pid, base, 3)) == b"new"
 
 
 class TestUnicastAblation:

@@ -16,7 +16,7 @@ from repro.core.stt import (
 )
 from repro.switchsim.packets import AccessType
 
-from conftest import small_cluster
+from conftest import arm_packet_loss, packets_dropped, small_cluster
 
 I, S, M, O = (
     CoherenceState.INVALID,
@@ -165,39 +165,26 @@ class TestProtocolBehaviour:
 
 
 class TestMoesiUnderMessageLoss:
-    """FETCH_FROM_OWNER and LOCAL_UPGRADE with injected protocol drops:
-    the retry must fold idempotently -- exactly one state transition and
-    one cache-to-cache transfer, never a double-apply."""
+    """FETCH_FROM_OWNER and LOCAL_UPGRADE under link-level loss on the
+    invalidation target's port (``from_switch`` carries the invalidation,
+    ``to_switch`` the ACK): the retry must fold idempotently -- exactly one
+    state transition and one cache-to-cache transfer, never a
+    double-apply.  Loss seed 1 drops the first attempts, short of a
+    reset."""
 
     @staticmethod
-    def lossy_moesi(seed, **loss):
-        from repro.cluster import ClusterConfig, MindCluster
-        from repro.core.mmu import MindConfig
-        from repro.faults import MessageLossInjector
-        from repro.sim.rng import make_rng
-
-        mind = MindConfig(
-            directory_capacity=256,
-            enable_bounded_splitting=False,
-            protocol="moesi",
-        )
-        injector = MessageLossInjector(make_rng(seed), **loss)
-        cluster = MindCluster(
-            ClusterConfig(
-                num_compute_blades=3, cache_capacity_pages=256, mind=mind
-            ),
-            fault_injector=injector,
-        )
-        return cluster, injector
+    def moesi():
+        return small_cluster(num_compute=3, cache_pages=256, protocol="moesi")
 
     def test_fetch_from_owner_retries_fold_idempotently(self):
-        cluster, injector = self.lossy_moesi(2, drop_invalidations=0.5)
+        cluster = self.moesi()
         pid, base = setup_proc(cluster)
         cluster.run_process(
             cluster.compute_blades[0].store_bytes(pid, base, b"dirty")
         )
+        links = arm_packet_loss(cluster, "compute0", "from_switch", 0.5, seed=1)
         touch(cluster, 1, pid, base, write=False)  # M->O under loss
-        assert injector.dropped > 0
+        assert packets_dropped(links) > 0
         assert cluster.stats.counter("retransmissions") > 0
         region = cluster.mmu.directory.find(base)
         b0, b1 = cluster.compute_blades[0], cluster.compute_blades[1]
@@ -212,24 +199,26 @@ class TestMoesiUnderMessageLoss:
         assert got == b"dirty"
 
     def test_fetch_from_owner_survives_dropped_acks(self):
-        cluster, injector = self.lossy_moesi(2, drop_acks=0.5)
+        cluster = self.moesi()
         pid, base = setup_proc(cluster)
         touch(cluster, 0, pid, base, write=True)
+        links = arm_packet_loss(cluster, "compute0", "to_switch", 0.5, seed=1)
         touch(cluster, 1, pid, base, write=False)
+        assert packets_dropped(links) > 0
         assert cluster.stats.counter("retransmissions") > 0
         region = cluster.mmu.directory.find(base)
         assert region.state is O
         assert cluster.stats.counter("cache_to_cache_transfers") == 1
 
     def test_local_upgrade_retries_fold_idempotently(self):
-        cluster, injector = self.lossy_moesi(2, drop_invalidations=0.5)
+        cluster = self.moesi()
         pid, base = setup_proc(cluster)
         touch(cluster, 0, pid, base, write=True)  # M at b0
         touch(cluster, 1, pid, base, write=False)  # M->O, b1 shares
-        dropped_before = injector.dropped
         retrans_before = cluster.stats.counter("retransmissions")
+        links = arm_packet_loss(cluster, "compute1", "from_switch", 0.5, seed=1)
         touch(cluster, 0, pid, base, write=True)  # O->M local upgrade
-        assert injector.dropped > dropped_before
+        assert packets_dropped(links) > 0
         assert cluster.stats.counter("retransmissions") > retrans_before
         region = cluster.mmu.directory.find(base)
         b0, b1 = cluster.compute_blades[0], cluster.compute_blades[1]
@@ -243,12 +232,36 @@ class TestMoesiUnderMessageLoss:
         assert b1.cache.peek(base) is None
 
     def test_local_upgrade_no_double_transition_on_dropped_ack(self):
-        cluster, injector = self.lossy_moesi(2, drop_acks=0.5)
+        cluster = self.moesi()
         pid, base = setup_proc(cluster)
         touch(cluster, 0, pid, base, write=True)
         touch(cluster, 1, pid, base, write=False)
+        links = arm_packet_loss(cluster, "compute1", "to_switch", 0.5, seed=1)
         touch(cluster, 0, pid, base, write=True)
+        assert packets_dropped(links) > 0
         region = cluster.mmu.directory.find(base)
         assert region.state is M
         assert len(cluster.stats.latencies["fault:O->M"]) == 1
         assert cluster.stats.counter("resets") == 0
+
+    def test_local_upgrade_reset_keeps_the_owners_bytes(self):
+        # Persistent loss towards the sharer resets the region under the
+        # owner's O->M upgrade; the reset flushes the owner's copy, so the
+        # upgrade must be re-issued as a fresh fetch, not granted on a page
+        # the owner no longer holds.
+        cluster = self.moesi()
+        pid, base = setup_proc(cluster)
+        b0, b1, b2 = cluster.compute_blades
+        cluster.run_process(b0.store_bytes(pid, base, b"dirty"))
+        touch(cluster, 1, pid, base, write=False)  # M->O, b1 shares
+        links = arm_packet_loss(
+            cluster, "compute1", "from_switch", 1.0, duration_us=3_000
+        )
+        cluster.run_process(b0.store_bytes(pid, base + 5, b"more"))
+        assert packets_dropped(links) >= 4
+        assert cluster.stats.counter("resets") == 1
+        assert cluster.stats.counter("faults_reissued") == 1
+        region = cluster.mmu.directory.find(base)
+        assert region.state is M
+        assert region.owner == b0.port.port_id
+        assert cluster.run_process(b2.load_bytes(pid, base, 9)) == b"dirtymore"

@@ -285,6 +285,43 @@ class TestSubtaskFusion:
         assert order == ["sibling", "child"]
         assert engine.subtasks_fused == 0
 
+    def test_fused_join_queues_behind_a_waiter_the_child_woke(self):
+        # The child wakes a waiter, then returns.  A spawned child's
+        # completion queues the parent behind that waiter; so must the
+        # fused join.
+        def run(fuse):
+            engine = Engine()
+            order = []
+            gate = engine.event()
+
+            def waiter():
+                yield gate
+                order.append(("waiter", engine.now))
+
+            def child():
+                yield 1.0
+                gate.succeed()
+                return "child"
+
+            def parent():
+                yield 0.5  # leave the set-up instant
+                if fuse:
+                    got = yield from engine.subtask(child())
+                else:
+                    got = yield engine.process(child())
+                order.append((got, engine.now))
+
+            engine.process(waiter())
+            engine.process(parent())
+            engine.run()
+            return order, engine.now, engine.subtasks_fused
+
+        fused, now, n_fused = run(True)
+        spawned, spawned_now, _ = run(False)
+        assert n_fused == 1
+        assert (fused, now) == (spawned, spawned_now)
+        assert fused == [("waiter", 1.5), ("child", 1.5)]
+
     def test_falls_back_when_tracing(self):
         class _Tracer:
             enabled = True
@@ -300,8 +337,7 @@ class TestSubtaskFusion:
 
         engine.tracer = _Tracer()
         gen = engine.subtask((x for x in ()))
-        # Not fused: subtask handed back a spawn-join wrapper, not the
-        # child generator itself.
+        # Not fused: subtask handed back a spawn-join wrapper.
         assert engine.subtasks_fused == 0
         gen.close()
 

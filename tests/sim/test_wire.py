@@ -165,3 +165,46 @@ def test_composite_path_whose_middle_leg_drops():
     assert edge[0] == PAGE_SIZE and edge[4] == 0
     assert spine[4] == 1
     assert down[0] == 0  # the payload never reached the last leg
+
+
+@pytest.mark.parametrize("mid_leg_timer", [False, True])
+def test_timer_at_the_legs_end_runs_before_the_join(mid_leg_timer):
+    # A timer set up before the leg, due exactly when it ends, wakes a
+    # waiter.  A spawned transfer's completion queues the sender behind
+    # that waiter; the fused routes must too.
+    cfg = NetworkConfig()
+    end = 0.5 + cfg.serialization_us(PAGE_SIZE) + cfg.link_propagation_us
+
+    def run(use_wire):
+        engine = Engine()
+        link, _ = _one_link(engine)
+        routes = []
+        _spy(link, routes)
+        order = []
+        gate = engine.event()
+        if mid_leg_timer:
+            engine.schedule(1.0, lambda: None)  # forces the claimed wire
+        engine.schedule(end, gate.succeed)
+
+        def waiter():
+            yield gate
+            order.append(("waiter", engine.now))
+
+        def sender():
+            yield 0.5
+            if use_wire:
+                ok = yield from wire(link, PAGE_SIZE)
+            else:
+                ok = yield engine.process(link.transfer(PAGE_SIZE))
+            order.append(("sender", ok, engine.now))
+
+        engine.process(waiter())
+        engine.process(sender())
+        engine.run()
+        return order, _link_state(link), routes
+
+    got, got_state, routes = run(use_wire=True)
+    want, want_state, _ = run(use_wire=False)
+    assert routes == (["try_start"] if mid_leg_timer else ["try_leg"])
+    assert (got, got_state) == (want, want_state)
+    assert got == [("waiter", end), ("sender", True, end)]
