@@ -6,7 +6,7 @@ the pipeline via TCAM range matches.  Protection domains (PDIDs) identify
 *who* may touch a region -- the PID for unmodified applications, or
 finer-grained domains (e.g. one per client session) for capability-style
 use.  Because TCAM entries can only match power-of-two ranges, arbitrary
-vmas are decomposed into at most ``ceil(log2 s)`` prefix entries, and
+vmas are decomposed into at most ``2 * ceil(log2 s)`` prefix entries, and
 adjacent entries with the same ``<PDID, PC>`` are coalesced.
 
 The TCAM key packs the PDID in the high bits above the 48-bit VA so one
@@ -18,13 +18,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from ..switchsim.packets import AccessType, PacketVerdict
-from ..switchsim.tcam import (
-    Tcam,
-    TcamFullError,
-    VA_WIDTH,
-    prefix_mask,
-    split_range_to_pow2,
-)
+from ..switchsim.tcam import Tcam, TcamFullError, VA_WIDTH
 from .vma import PermissionClass, Vma
 
 #: Width of the PDID field packed above the VA in the TCAM key.
@@ -50,7 +44,9 @@ class ProtectionTable:
     equal payloads coalesced).  Rule changes recompile the affected domain,
     which keeps revocation correct even when a coalesced entry spanned
     several vmas.  vma counts are small in practice (Section 7.2), so
-    recompiling a domain is a handful of PCIe rule updates.
+    recompiling a domain is a handful of PCIe rule updates.  A change whose
+    compiled domain does not fit raises :class:`TcamFullError` and leaves
+    the grants and the TCAM as they were.
     """
 
     def __init__(self, tcam: Tcam):
@@ -77,10 +73,9 @@ class ProtectionTable:
             )
         self._grants[key] = (vma, perm)
         try:
-            return self._recompile_domain(pdid)
+            return self._compile(pdid)
         except TcamFullError:
             del self._grants[key]
-            self._recompile_domain(pdid)
             raise
 
     def grants(self) -> List[Tuple[int, Vma, PermissionClass]]:
@@ -97,38 +92,37 @@ class ProtectionTable:
 
     def revoke(self, pdid: int, vma_base: int) -> None:
         """Remove the grant for ``<pdid, vma>`` (munmap path)."""
-        if self._grants.pop((pdid, vma_base), None) is None:
+        key = (pdid, vma_base)
+        revoked = self._grants.pop(key, None)
+        if revoked is None:
             raise KeyError(f"no protection entries for pdid={pdid} @ {vma_base:#x}")
-        self._recompile_domain(pdid)
+        try:
+            self._compile(pdid)
+        except TcamFullError:
+            # Revoking a page in the middle of a merged block splits it.
+            self._grants[key] = revoked
+            raise
 
     def change(self, pdid: int, vma: Vma, perm: PermissionClass) -> None:
         """mprotect: replace the grant with the new permission class."""
         self.revoke(pdid, vma.base)
         self.grant(pdid, vma, perm)
 
-    def _recompile_domain(self, pdid: int) -> int:
-        """Rebuild the TCAM entries of one protection domain from grants."""
-        self.tcam.remove_where(
-            lambda e: isinstance(e.data, tuple) and e.data[0] == pdid
-        )
-        count = 0
-        for (g_pdid, _base), (vma, perm) in sorted(self._grants.items()):
-            if g_pdid != pdid:
-                continue
-            for base, size in split_range_to_pow2(vma.base, vma.length):
-                value = pack_key(pdid, base)
-                prefix_len = VA_WIDTH - (size.bit_length() - 1)
-                # Exact match on PDID bits + VA prefix.
-                mask = (
-                    prefix_mask(PDID_WIDTH, PDID_WIDTH) << VA_WIDTH
-                ) | prefix_mask(prefix_len, VA_WIDTH)
-                self.tcam.insert(value, mask, PDID_WIDTH + prefix_len, (pdid, perm))
-                count += 1
-        self.tcam.coalesce(width=KEY_WIDTH)
-        return sum(
-            1
-            for e in self.tcam
-            if isinstance(e.data, tuple) and e.data[0] == pdid
+    def _compile(self, pdid: int) -> int:
+        """Install one protection domain's compiled entries; returns their count.
+
+        A domain's grants are disjoint, because vmas share one global VA
+        space, so in base order they are the disjoint runs
+        :meth:`Tcam.coalesce` merges and splits in one pass.  The TCAM key
+        carries the PDID above the VA, so a run's key range is contiguous.
+        """
+        runs = [
+            (pack_key(pdid, vma.base), vma.length, (pdid, perm))
+            for (g_pdid, _base), (vma, perm) in sorted(self._grants.items())
+            if g_pdid == pdid
+        ]
+        return self.tcam.coalesce(
+            runs, lambda e: e.data[0] == pdid, width=KEY_WIDTH
         )
 
     # -- data-plane check ---------------------------------------------------

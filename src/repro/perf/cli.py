@@ -178,7 +178,7 @@ def main(args: argparse.Namespace) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"warning: cannot read {args.compare_to}: {exc}", file=sys.stderr)
             return 0
-        message = compare_wall_seconds(doc, baseline, warn_frac=frac)
+        message = compare_wall_seconds(doc, baseline, args.compare_to, warn_frac=frac)
         if message:
             if args.fail_frac is not None:
                 print(f"error: {message}", file=sys.stderr)

@@ -267,20 +267,24 @@ def run_profile(
 
 
 def compare_wall_seconds(
-    current: Dict[str, Any], baseline: Dict[str, Any], warn_frac: float = 0.25
+    current: Dict[str, Any],
+    baseline: Dict[str, Any],
+    baseline_path: str,
+    warn_frac: float = 0.25,
 ) -> Optional[str]:
     """Warning text if ``current`` is more than ``warn_frac`` slower.
 
     Wall clocks differ across machines, so this is advisory (CI prints
     the warning but does not fail); ``None`` means within budget.  Specs
-    must match -- comparing different workloads is meaningless.
+    must match -- comparing different workloads is meaningless.  The text
+    names ``baseline_path``, the file ``baseline`` was read from.
     """
     if current.get("spec_digest") != baseline.get("spec_digest"):
         return (
-            "speed baseline covers a different spec "
+            f"speed baseline {baseline_path} covers a different spec "
             f"({baseline.get('spec_digest')!r} != {current.get('spec_digest')!r}); "
-            "regenerate it with: python -m repro profile --preset ci-quick "
-            "--json-out benchmarks/BENCH_speed.json"
+            "regenerate it by re-running the profile command that made it "
+            f"with --json-out {baseline_path}"
         )
     base = float(baseline.get("best_wall_seconds", 0.0))
     cur = float(current.get("best_wall_seconds", 0.0))
@@ -288,8 +292,8 @@ def compare_wall_seconds(
         return None
     if cur > base * (1.0 + warn_frac):
         return (
-            f"kernel speed regression: ci-quick wall clock {cur:.3f}s is "
-            f"{cur / base:.2f}x the checked-in baseline {base:.3f}s "
+            f"speed regression: wall clock {cur:.3f}s is "
+            f"{cur / base:.2f}x the {base:.3f}s in {baseline_path} "
             f"(warn threshold {1.0 + warn_frac:.2f}x)"
         )
     return None

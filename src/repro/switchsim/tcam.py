@@ -7,8 +7,9 @@ The Tofino's TCAM gives MIND two primitives it leans on heavily:
   entry shadows the blade-level range entry that contains it (Section 4.1).
 - **Parallel range matching**, used for the ``<PDID, vma> -> PC`` protection
   table (Section 4.2).  A TCAM entry can only match a power-of-two aligned
-  range, so arbitrary vmas are decomposed into at most ``ceil(log2 s)``
-  entries by :func:`split_range_to_pow2`.
+  range, so arbitrary vmas are decomposed into at most ``2 * ceil(log2 s)``
+  entries by :func:`split_range_to_pow2`, and :meth:`Tcam.coalesce`
+  installs each protection domain's entries in one pass.
 
 Capacity is enforced: the paper reports ~45 k match-action rules as the
 switch limit; callers configure their table budgets and inserting past a
@@ -19,7 +20,7 @@ pressure is what drives the Fig. 8/9 results).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
 #: Virtual addresses are 48-bit, as on x86-64.
 VA_WIDTH = 48
@@ -133,29 +134,52 @@ class Tcam:
         prefix_len = width - (size.bit_length() - 1)
         return self.insert(value, mask, prefix_len, data)
 
-    def insert_range(
-        self, base: int, length: int, data: Any, width: int = VA_WIDTH
-    ) -> List[TcamEntry]:
-        """Insert an arbitrary range, decomposed into power-of-two prefixes.
+    def coalesce(
+        self,
+        runs: Iterable[Tuple[int, int, Any]],
+        replaces: Callable[[TcamEntry], bool],
+        width: int = VA_WIDTH,
+    ) -> int:
+        """Install ``runs`` as coalesced prefix entries in place of the
+        entries ``replaces`` selects (Section 4.2).
 
-        All-or-nothing: if the decomposition does not fit, nothing is
-        inserted and :class:`TcamFullError` is raised.
+        ``runs`` are pairwise disjoint ``(base, length, data)`` ranges in
+        base order.  Adjacent runs with equal data are joined into maximal
+        spans, and each span is installed as its :func:`split_range_to_pow2`
+        blocks.  That is the table that merging buddy entries with equal
+        data until none are left would reach: the fixpoint is unique (the
+        maximal aligned power-of-two blocks inside each same-data span), and
+        the greedy split of a span is exactly that set.  So one pass builds
+        it, and the table never holds an uncoalesced peak.
+
+        All-or-nothing: if the result does not fit, :class:`TcamFullError`
+        is raised and the table is unchanged.  Returns the number of entries
+        installed.
         """
-        blocks = split_range_to_pow2(base, length)
-        if len(blocks) > self.free:
+        spans: List[List[Any]] = []
+        for base, length, data in runs:
+            if spans and spans[-1][0] + spans[-1][1] == base and spans[-1][2] == data:
+                spans[-1][1] += length
+            else:
+                spans.append([base, length, data])
+        blocks = [
+            (block, size, data)
+            for base, length, data in spans
+            for block, size in split_range_to_pow2(base, length)
+        ]
+        kept = [e for e in self._entries if not replaces(e)]
+        if len(kept) + len(blocks) > self.capacity:
             raise TcamFullError(
-                f"{self.name}: range needs {len(blocks)} entries, {self.free} free"
+                f"{self.name}: needs {len(blocks)} entries, "
+                f"{self.capacity - len(kept)} free"
             )
-        return [self.insert_prefix(b, s, data, width) for b, s in blocks]
+        self._entries = kept
+        for block, size, data in blocks:
+            self.insert_prefix(block, size, data, width)
+        return len(blocks)
 
     def remove(self, entry: TcamEntry) -> None:
         self._entries.remove(entry)
-
-    def remove_where(self, predicate) -> int:
-        """Remove all entries matching a predicate; returns count removed."""
-        before = len(self._entries)
-        self._entries = [e for e in self._entries if not predicate(e)]
-        return before - len(self._entries)
 
     def lookup(self, key: int) -> Optional[TcamEntry]:
         """Highest-priority match for ``key`` (LPM for prefix entries)."""
@@ -165,37 +189,3 @@ class Tcam:
             if entry.matches(key) and (best is None or entry.priority >= best.priority):
                 best = entry
         return best
-
-    def coalesce(self, width: int = VA_WIDTH) -> int:
-        """Merge buddy prefix entries that carry equal data (Section 4.2).
-
-        Two entries are buddies when they are the two halves of a
-        double-sized aligned block.  Runs to fixpoint; returns the number of
-        entries eliminated.
-        """
-        removed = 0
-        changed = True
-        while changed:
-            changed = False
-            by_key: Dict[Tuple[int, int], TcamEntry] = {
-                (e.value, e.mask): e for e in self._entries
-            }
-            for entry in list(self._entries):
-                if entry.mask == 0:
-                    continue
-                size_bit = (~entry.mask) & ((1 << width) - 1)
-                size = size_bit + 1
-                buddy_value = entry.value ^ size
-                buddy = by_key.get((buddy_value, entry.mask))
-                if buddy is None or buddy is entry or buddy.data != entry.data:
-                    continue
-                if entry not in self._entries or buddy not in self._entries:
-                    continue
-                merged_base = min(entry.value, buddy_value)
-                self._entries.remove(entry)
-                self._entries.remove(buddy)
-                self.insert_prefix(merged_base, size * 2, entry.data, width)
-                removed += 1
-                changed = True
-                break
-        return removed

@@ -2,14 +2,17 @@
 
 Scenario points run through the same dispatch as the sweep engine, so
 the profiler times them like trace replays.  A bad scenario axis must end
-with exit status 2 and a one-line error, not a traceback.
+with exit status 2 and a one-line error, not a traceback.  The speed gate's
+messages name the baseline file they compared against.
 """
 
+import json
 import re
 
 import pytest
 
 from repro.__main__ import main
+from repro.perf import compare_wall_seconds
 
 SCENARIO_GRIDS = {
     "topology": "workload=multirack;racks=2;blades=2;accesses_per_thread=40",
@@ -50,3 +53,37 @@ def test_trace_grid_still_profiles(capsys):
     ])
     assert rc == 0
     assert "profiled 1 points" in capsys.readouterr().out
+
+
+def test_speed_gate_messages_name_their_baseline():
+    path = "benchmarks/BENCH_speed_alloc.json"
+    current = {"spec_digest": "abc", "best_wall_seconds": 2.0}
+    slow = compare_wall_seconds(
+        current, {"spec_digest": "abc", "best_wall_seconds": 1.0}, path, warn_frac=0.2
+    )
+    stale = compare_wall_seconds(
+        current, {"spec_digest": "xyz", "best_wall_seconds": 1.0}, path
+    )
+    for message in (slow, stale):
+        assert path in message
+        assert "ci-quick" not in message and "BENCH_speed.json" not in message
+    assert f"--json-out {path}" in stale
+    assert compare_wall_seconds(
+        current, {"spec_digest": "abc", "best_wall_seconds": 1.9}, path, warn_frac=0.2
+    ) is None
+
+
+def test_speed_gate_fails_naming_the_baseline(tmp_path, capsys):
+    grid = SCENARIO_GRIDS["allocation"]
+    baseline = tmp_path / "BENCH_speed_tiny.json"
+    assert main(["profile", "--grid", grid, "--reps", "1",
+                 "--json-out", str(baseline)]) == 0
+    doc = json.loads(baseline.read_text())
+    doc["best_wall_seconds"] = 1e-9
+    baseline.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["profile", "--grid", grid, "--reps", "1",
+               "--compare-to", str(baseline), "--fail-frac", "0.20"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: speed regression") and str(baseline) in err

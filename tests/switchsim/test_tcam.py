@@ -1,5 +1,7 @@
 """Unit and property tests for the TCAM model."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,6 +81,17 @@ class TestSplitRange:
             cursor += size
         assert cursor == base + length, "blocks cover exactly the range"
 
+    def test_entry_bound(self):
+        """A range of size s needs at most 2*ceil(log2 s) aligned blocks."""
+        length = 0x7F000
+        blocks = split_range_to_pow2(0x1234000, length)
+        assert len(blocks) <= 2 * math.ceil(math.log2(length))
+        cursor = 0x1234000
+        for base, size in blocks:
+            assert base == cursor and base % size == 0
+            cursor += size
+        assert cursor == 0x1234000 + length
+
     @given(
         base=st.integers(min_value=0, max_value=2**40),
         exp=st.integers(min_value=0, max_value=20),
@@ -117,36 +130,12 @@ class TestTcam:
         with pytest.raises(TcamFullError):
             tcam.insert_prefix(0x2000, 0x1000, 3)
 
-    def test_insert_range_all_or_nothing(self):
-        tcam = Tcam(2)
-        # 0x3000 range needs 2 entries; add 1 first so it cannot fit.
-        tcam.insert_prefix(0x100000, 0x1000, "x")
-        with pytest.raises(TcamFullError):
-            tcam.insert_range(0x1000, 0x3000, "y")
-        assert len(tcam) == 1
-
-    def test_insert_range_entry_bound(self):
-        """A range of size s needs at most ~2*log2(s) prefix entries."""
-        tcam = Tcam(200)
-        entries = tcam.insert_range(0x1234000, 0x7F000, "z")
-        import math
-
-        assert len(entries) <= 2 * math.ceil(math.log2(0x7F000))
-
     def test_remove_entry(self):
         tcam = Tcam(4)
         entry = tcam.insert_prefix(0x0, 0x1000, "a")
         tcam.remove(entry)
         assert tcam.lookup(0x500) is None
         assert tcam.free == 4
-
-    def test_remove_where(self):
-        tcam = Tcam(4)
-        tcam.insert_prefix(0x0, 0x1000, "a")
-        tcam.insert_prefix(0x1000, 0x1000, "b")
-        removed = tcam.remove_where(lambda e: e.data == "a")
-        assert removed == 1
-        assert len(tcam) == 1
 
     def test_value_outside_mask_rejected(self):
         tcam = Tcam(4)
@@ -157,31 +146,20 @@ class TestTcam:
         tcam = Tcam(8)
         tcam.insert_prefix(0x0, 0x1000, "same")
         tcam.insert_prefix(0x1000, 0x1000, "same")
-        assert tcam.coalesce() == 1
+        runs = [(0x0, 0x1000, "same"), (0x1000, 0x1000, "same")]
+        assert tcam.coalesce(runs, replaces=lambda e: e.data == "same") == 1
         assert len(tcam) == 1
         assert tcam.lookup(0x1800).data == "same"
-
-    def test_coalesce_runs_to_fixpoint(self):
-        tcam = Tcam(8)
-        for i in range(4):
-            tcam.insert_prefix(i * 0x1000, 0x1000, "same")
-        tcam.coalesce()
-        assert len(tcam) == 1
-        assert tcam.lookup(0x3FFF).data == "same"
 
     def test_coalesce_respects_different_data(self):
         tcam = Tcam(8)
         tcam.insert_prefix(0x0, 0x1000, "a")
         tcam.insert_prefix(0x1000, 0x1000, "b")
-        assert tcam.coalesce() == 0
+        runs = [(0x0, 0x1000, "a"), (0x1000, 0x1000, "b")]
+        assert tcam.coalesce(runs, replaces=lambda e: True) == 2
         assert len(tcam) == 2
-
-    def test_coalesce_non_buddies_not_merged(self):
-        tcam = Tcam(8)
-        # 0x1000 and 0x2000 are not buddies (buddy of 0x1000/0x1000 is 0x0).
-        tcam.insert_prefix(0x1000, 0x1000, "a")
-        tcam.insert_prefix(0x2000, 0x1000, "a")
-        assert tcam.coalesce() == 0
+        assert tcam.lookup(0x800).data == "a"
+        assert tcam.lookup(0x1800).data == "b"
 
     def test_lookup_counts(self):
         tcam = Tcam(4)
